@@ -1,60 +1,31 @@
-# Developer entry points. `make check` is the full gate a PR must pass:
-# vet (including the kylix-vet invariant analyzers), build, the whole
-# test suite, the race lane over the packages with the heaviest
-# concurrency (transports, mailbox, reduction core, fault fabric,
-# replication, membership), the elastic-membership chaos soak, and the
-# allocation gate on the warm reduction hot path.
+# Developer entry points. `make check` is the full gate a PR must pass;
+# its one definition is scripts/check.sh, which runs the lanes vet
+# (standard plus the kylix-vet invariant analyzers), build, test, race
+# (the concurrency-critical packages — transports, mailbox, reduction
+# core, fault fabric, replication, membership, worker pool, stream
+# registry — and the stream lifecycle under the race detector), soak
+# (the elastic-membership and multi-tenant stream chaos soaks on both
+# transports) and benchgate (the allocation gate on the warm reduction
+# hot path). Each lane is also a target of its own.
 
 GO ?= go
 KYLIX_VET := bin/kylix-vet
 
 .PHONY: check vet kylix-vet build test race soak benchgate bench profile fuzz lint
 
-check: vet build test race soak benchgate
+check:
+	GO=$(GO) scripts/check.sh
 
-# Standard go vet plus the project invariant suite (hotpathalloc,
-# lockobs, determinism, commcheck, goleak, lockorder, atomicmix) run
-# through the same vet driver, so results are per-package cached and
-# keyed on the tool binary's hash.
-vet: kylix-vet
-	$(GO) vet ./...
-	$(GO) vet -vettool=$(KYLIX_VET) ./...
+vet build test race soak benchgate:
+	GO=$(GO) scripts/check.sh $@
 
 kylix-vet:
 	@mkdir -p bin
 	$(GO) build -o $(KYLIX_VET) ./cmd/kylix-vet
 
-build:
-	$(GO) build ./...
-
-test:
-	$(GO) test ./...
-
-# Short-mode race lane: the concurrency-critical packages under the race
-# detector. Short mode keeps it minutes, not tens of minutes. comm and
-# core ride along since the mailbox free lists and the arena flip are
-# exactly where a data race would corrupt results silently; membership is
-# the gossip control plane, whose agents are all ticker-vs-receiver races.
-race:
-	$(GO) test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/trace/... ./internal/obs/... ./internal/membership/...
-
-# The elastic-membership chaos soak: scripted joins, leaves and
-# replacements with machines and the coordinator killed mid-transition,
-# on both transports, checked bit-identical against a fresh cluster.
-soak:
-	$(GO) test -run 'TestElasticChurn|TestTCPChurnSoak' -count=1 . ./internal/replica/
-
 # Hot-path benchmarks with memory accounting; writes BENCH_reduce.json.
 bench:
 	scripts/bench.sh
-
-# The zero-allocation regression gate: fails if either warm Reduce
-# benchmark (plain or with the observability layer enabled) reports
-# >0 allocs/op, or if the observed run got >10% slower than the number
-# recorded in BENCH_reduce.json. Runs the full bench sweep as a side
-# effect.
-benchgate:
-	scripts/bench.sh --gate
 
 # Optional deep-lint lane: staticcheck + govulncheck, pinned via go run.
 # Needs network access to the module proxy; skips gracefully offline.

@@ -2,9 +2,9 @@ package kylix
 
 import (
 	"fmt"
+	"slices"
 
 	"kylix/internal/comm"
-	"kylix/internal/core"
 )
 
 // StreamCtl is the tenant-stream control-plane message served by the
@@ -64,52 +64,19 @@ func (n *Node) ControlRecv(from int, ack bool) (*StreamCtl, error) {
 	return ctl, nil
 }
 
-// Stream derives a node bound to the given tenant stream id over the
-// same endpoint: its message tags live in the stream's namespace, so
-// its collectives interleave freely with the main node's and with other
-// streams' — the cross-process counterpart of Cluster.OpenStream.
-// Every machine must derive the same id with the same options, the id
-// must be nonzero (0 is the node's own namespace) and must be derived
-// at most once per node lifetime (each derivation starts the stream's
-// tag space from round zero). Options may override WithWidth,
-// WithReducer and WithStrict; transport and replication are inherited.
-func (n *Node) Stream(id uint16, opts ...Option) (*Node, error) {
-	if id == 0 {
-		return nil, fmt.Errorf("kylix: stream 0 is the node's own namespace")
-	}
-	cfg := n.cfg
-	cfg.stream = comm.StreamID(id)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	mach, err := core.NewMachine(n.ep, n.bf, core.Options{
-		Width:          cfg.width,
-		Reducer:        cfg.reducer,
-		Strict:         cfg.strict,
-		Channel:        cfg.channel,
-		Quant:          cfg.quant,
-		Stream:         cfg.stream,
-		Tracer:         cfg.obsv.Node(n.physRank),
-		CombineWorkers: cfg.combineWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Node{
-		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg,
-		physRank: n.physRank, width: cfg.width, tn: n.tn,
-	}, nil
-}
-
 // CloseStream purges the given tenant stream's namespace from this
 // machine's transport mailbox: queued messages are dropped, the
 // pending-sender index entries are removed, and late deliveries (TCP
 // resend replays) into the dead namespace are discarded from then on.
 // Collective: every machine must close the same streams. Only
 // meaningful on nodes with a real transport (ListenNode); in-process
-// clusters purge through Stream.Close.
+// clusters purge through Stream.Close. The node also forgets the
+// networks it derived for the stream, so a long-lived node holds only
+// its open streams.
 func (n *Node) CloseStream(id uint16) {
-	if n.tn != nil {
-		n.tn.CloseStream(comm.StreamID(id))
+	if n.tn == nil {
+		return
 	}
+	n.tn.CloseStream(comm.StreamID(id))
+	n.derived = slices.DeleteFunc(n.derived, func(d *Node) bool { return d.cfg.stream == comm.StreamID(id) })
 }

@@ -34,8 +34,8 @@
 // cmd/kylix-node) and supports replication-based fault tolerance
 // (WithReplication), pluggable reducers (sum, max, min, bitwise-or),
 // multi-value features (WithWidth), fused configure+reduce for minibatch
-// workloads whose index sets change every round, and derived tag-channel
-// networks (Node.Channel) so several independent reductions — say an
+// workloads whose index sets change every round, and derived stream
+// networks (Node.Stream) so several independent reductions — say an
 // OR-reduce sketch network plus a sum-reduce convergence counter — can
 // interleave over one cluster.
 //

@@ -1,7 +1,7 @@
 // Graph diameter estimation with Flajolet-Martin sketches (§I-A2's HADI
 // workload): vertices carry bitstring sketches of their reachable sets,
 // one bitwise-OR allreduce grows them per hop, and a piggybacked
-// sum-allreduce (on a second tag channel of the same cluster) detects
+// sum-allreduce (on a second stream of the same cluster) detects
 // global convergence. Demonstrates Kylix's pluggable reducers and
 // multi-network endpoints.
 package main
@@ -52,7 +52,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		conv, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		conv, err := core.NewMachine(ep, bf, core.Options{Stream: 1})
 		if err != nil {
 			return err
 		}

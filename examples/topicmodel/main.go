@@ -3,7 +3,7 @@
 // documents with planted topic structure. Each sweep exchanges the
 // sparse word-topic count deltas — width K = topics values per word —
 // through a fused configure+reduce, and a second allreduce network on
-// its own tag channel carries the global per-topic totals.
+// its own stream carries the global per-topic totals.
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		totals, err := core.NewMachine(ep, bf, core.Options{Width: topics, Channel: 1})
+		totals, err := core.NewMachine(ep, bf, core.Options{Width: topics, Stream: 1})
 		if err != nil {
 			return err
 		}

@@ -24,9 +24,9 @@ import (
 //     addresses a dead namespace. comm.DefaultStream is the named way
 //     to mean "the cluster's own tag space".
 //   - The root stream API gets the same error discipline as Endpoint:
-//     Stream.Run, Stream.Configure, Stream.Close and Cluster.Close
-//     return errors that carry pass results and sticky stream state,
-//     and a dropped one turns a failed collective into a silent no-op.
+//     Stream.Run, Stream.Close and Cluster.Close return errors that
+//     carry pass results and sticky stream state, and a dropped one
+//     turns a failed collective into a silent no-op.
 //
 // Test files are skipped (teardown paths discard errors by design, and
 // fixed stream ids are how isolation tests pin their scenarios).
@@ -49,7 +49,7 @@ const commPkgPath = "kylix/internal/comm"
 // load-bearing like Endpoint's: a Stream pass result or a Close that
 // surfaces sticky failures.
 var streamAPIMethods = map[string]map[string]bool{
-	"Stream":  {"Run": true, "Configure": true, "Close": true},
+	"Stream":  {"Run": true, "Close": true},
 	"Cluster": {"Close": true},
 }
 
@@ -167,7 +167,7 @@ func checkDiscardedEndpointError(p *Pass, call *ast.CallExpr, endpoint *types.In
 }
 
 // checkDiscardedStreamError flags a statement-position call to a root
-// stream-API method (Stream.Run/Configure/Close, Cluster.Close) whose
+// stream-API method (Stream.Run/Close, Cluster.Close) whose
 // error result vanishes.
 func checkDiscardedStreamError(p *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -1,7 +1,7 @@
 // Stream-API error discipline: the root module's Stream.Run,
-// Stream.Configure, Stream.Close and Cluster.Close return errors that
-// carry the pass result and sticky failure state, so discarding one at
-// statement position is flagged exactly like an Endpoint error.
+// Stream.Close and Cluster.Close return errors that carry the pass
+// result and sticky failure state, so discarding one at statement
+// position is flagged exactly like an Endpoint error.
 package commtest
 
 import (
@@ -10,7 +10,6 @@ import (
 
 func DroppedStreamErrors(st *kylix.Stream, fn func(*kylix.Node) error) {
 	st.Run(fn)       // want "Run error discarded"
-	st.Configure(fn) // want "Configure error discarded"
 	defer st.Close() // want "Close error discarded"
 }
 

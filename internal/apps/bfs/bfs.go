@@ -35,7 +35,7 @@ type Result struct {
 
 // RunNode runs BFS from the given source collectively. The main machine
 // must use sparse.Min; the convergence machine uses the default sum
-// reducer on a distinct channel.
+// reducer on a distinct stream.
 func RunNode(m *core.Machine, convergence *core.Machine, shard *graph.Shard, source int32, maxRounds int) (*Result, error) {
 	if maxRounds < 1 {
 		return nil, fmt.Errorf("bfs: maxRounds %d must be >= 1", maxRounds)

@@ -33,7 +33,7 @@ func runDistributed(t *testing.T, m int, edges []graph.Edge, source int32, maxRo
 		if err != nil {
 			return err
 		}
-		conv, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		conv, err := core.NewMachine(ep, bf, core.Options{Stream: 1})
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func TestBFSValidatesParams(t *testing.T) {
 	defer net.Close()
 	bf := topo.MustNew([]int{1})
 	m, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Reducer: sparse.Min})
-	conv, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Channel: 1})
+	conv, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Stream: 1})
 	shard, _ := graph.BuildShard([]graph.Edge{{Src: 0, Dst: 1}}, nil)
 	if _, err := RunNode(m, conv, shard, 0, 0); err == nil {
 		t.Fatal("accepted maxRounds 0")

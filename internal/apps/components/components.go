@@ -28,7 +28,7 @@ type Result struct {
 
 // RunNode propagates labels collectively. The main machine must be built
 // with sparse.Min and the convergence machine with the default sum
-// reducer on a distinct channel. Labels propagate along edge direction;
+// reducer on a distinct stream. Labels propagate along edge direction;
 // run on a symmetrized edge list for weakly connected components.
 func RunNode(m *core.Machine, convergence *core.Machine, shard *graph.Shard, maxRounds int) (*Result, error) {
 	cfg, err := m.Configure(shard.In, shard.Out)

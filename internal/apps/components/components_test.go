@@ -33,7 +33,7 @@ func runDistributed(t *testing.T, m int, edges []graph.Edge, maxRounds int) ([]*
 		if err != nil {
 			return err
 		}
-		conv, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		conv, err := core.NewMachine(ep, bf, core.Options{Stream: 1})
 		if err != nil {
 			return err
 		}

@@ -74,7 +74,7 @@ type Result struct {
 
 // RunNode trains collectively. The machine must be constructed with
 // Width = Params.Topics; the totals machine carries the global
-// per-topic totals on a separate channel (width K as well).
+// per-topic totals on a separate stream (width K as well).
 func RunNode(m *core.Machine, totalsNet *core.Machine, corpus *Corpus, p Params, rng *rand.Rand) (*Result, error) {
 	if p.Topics < 2 || p.Sweeps < 1 {
 		return nil, fmt.Errorf("lda: need >= 2 topics and >= 1 sweep, got %+v", p)

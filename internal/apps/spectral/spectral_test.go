@@ -51,7 +51,7 @@ func runDistributed(t *testing.T, m int, n int32, edges []graph.Edge, weights []
 		if err != nil {
 			return err
 		}
-		scalar, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		scalar, err := core.NewMachine(ep, bf, core.Options{Stream: 1})
 		if err != nil {
 			return err
 		}
@@ -129,7 +129,7 @@ func TestRunNodeValidates(t *testing.T) {
 	defer net.Close()
 	bf := topo.MustNew([]int{1})
 	m, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{})
-	scalar, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Channel: 1})
+	scalar, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Stream: 1})
 	shard, _ := graph.BuildShard([]graph.Edge{{Src: 0, Dst: 1}}, nil)
 	if _, err := RunNode(m, scalar, shard, 0, 1e-6); err == nil {
 		t.Fatal("accepted maxIters 0")

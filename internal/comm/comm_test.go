@@ -307,8 +307,8 @@ func TestDecodeErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{99},                              // unknown discriminator
-		{1, 5},                            // truncated length
-		{1, 10, 0, 0, 0},                  // keys count 10, no data
+		{1, 5},                            // retired raw keys form
+		{1, 10, 0, 0, 0},                  // retired raw keys form
 		{2, 3, 0, 0, 0, 1},                // floats truncated
 		{3, 1, 0, 0, 0},                   // keysvals missing second count
 		{3, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2}, // keysvals truncated body
@@ -317,6 +317,21 @@ func TestDecodeErrors(t *testing.T) {
 	for i, c := range cases {
 		if _, err := DecodePayload(c); err == nil {
 			t.Errorf("case %d: want decode error", i)
+		}
+	}
+}
+
+func TestDecodeRejectsRetiredForms(t *testing.T) {
+	// The raw 8-byte-per-key index-set forms are no longer decodable,
+	// even when well formed.
+	cases := map[string][]byte{
+		"keys":     {1, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0},
+		"inout":    {6, 0, 0, 0, 0, 0, 0, 0, 0},
+		"combined": {7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for name, c := range cases {
+		if p, err := DecodePayload(c); err == nil {
+			t.Errorf("%s: decoded retired discriminator %d as %T", name, c[0], p)
 		}
 	}
 }

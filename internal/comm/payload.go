@@ -45,15 +45,14 @@ func RawWireSize(p Payload) int {
 	return p.WireSize()
 }
 
-// Payload type discriminators on the wire. 1–4 are the original
-// fixed-width formats; 6, 7 and the compressed 8–11 live in
+// Payload type discriminators on the wire. 2–4 are fixed-width
+// formats; the compressed index-set forms 8–11 live in
 // payload_config.go, 12–13 are control planes, and the quantized value
-// block 14 lives in payload_qvals.go. Decoders accept every
-// discriminator ever assigned; encoders emit the compressed forms for
-// index-set payloads and the quantized form for value blocks when
-// quantization is on.
+// block 14 lives in payload_qvals.go. Every rank runs one binary and
+// nothing on the wire is persisted, so the retired raw
+// 8-byte-per-key index-set forms (1, 6 and 7) are rejected rather than
+// kept decodable.
 const (
-	wireKeys     = 1
 	wireFloats   = 2
 	wireKeysVals = 3
 	wireBytes    = 4
@@ -206,19 +205,6 @@ func DecodePayload(buf []byte) (Payload, error) {
 		return v, nil
 	}
 	switch kind {
-	case wireKeys:
-		n, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) < int(n)*8 {
-			return nil, fmt.Errorf("comm: truncated keys payload")
-		}
-		keys := make(sparse.Set, n)
-		for i := range keys {
-			keys[i] = sparse.Key(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		return &Keys{Keys: keys}, nil
 	case wireFloats:
 		n, err := readU32()
 		if err != nil {

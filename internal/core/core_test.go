@@ -240,6 +240,59 @@ func TestRepeatedReduceReusesConfig(t *testing.T) {
 	}
 }
 
+func TestRoundsCrossOldTagCeiling(t *testing.T) {
+	// Tag sequences span the full 32-bit field: a machine started just
+	// below 2^24 configures and reduces straight across it.
+	rng := rand.New(rand.NewSource(29))
+	bf := topo.MustNew([]int{2, 2})
+	ws := randWorkloads(rng, bf.M(), 200, 30, 1, true)
+	want := refReduce(ws, sparse.Sum, 1)
+	n := memnet.New(bf.M())
+	defer n.Close()
+	const base, iters = 1<<24 - 2, 4
+	err := memnet.Run(n, func(ep comm.Endpoint) error {
+		m, err := NewMachine(ep, bf, Options{RoundBase: base})
+		if err != nil {
+			return err
+		}
+		cfg, err := m.Configure(ws[ep.Rank()].in, ws[ep.Rank()].out)
+		if err != nil {
+			return err
+		}
+		for it := 0; it < iters; it++ {
+			res, err := cfg.Reduce(ws[ep.Rank()].vals)
+			if err != nil {
+				return err
+			}
+			if !almostEqual(res, want[ep.Rank()], 1e-4) {
+				t.Errorf("rank %d round %d mismatch", ep.Rank(), base+1+it)
+			}
+		}
+		if got := m.RoundsUsed(); got != 1+iters {
+			t.Errorf("rank %d used %d rounds, want %d", ep.Rank(), got, 1+iters)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRoundWrapPanics(t *testing.T) {
+	// The last sequence number is usable; one past it would wrap onto
+	// live tags and must panic instead.
+	m := &Machine{opts: Options{RoundBase: math.MaxUint32}}
+	if r := m.nextRound(); r != math.MaxUint32 {
+		t.Fatalf("nextRound = %d, want %d", r, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("round past 2^32 did not panic")
+		}
+	}()
+	m.nextRound()
+}
+
 func TestConfigureReduceMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, degrees := range [][]int{{4}, {2, 2}, {4, 2}} {

@@ -34,17 +34,14 @@ type Options struct {
 	// visible at this node's bottom range, which collectively covers the
 	// whole space.
 	Strict bool
-	// Channel namespaces this Machine's message tags. Several Machines
-	// (e.g. a main OR-reduce network and a tiny convergence-counter
-	// network) can share one endpoint as long as their channels differ.
-	Channel uint8
-	// Stream namespaces this Machine's tags by tenant: every tag the
-	// machine mints carries the stream id, so concurrent reductions
-	// multiplex over one shared endpoint without cross-delivery. The
-	// zero value is comm.DefaultStream — classic single-tenant
-	// operation. Unlike Channel (which subdivides the seq space),
-	// Stream is a dedicated tag field, so streams get the full
-	// channel × round space each.
+	// Stream namespaces this Machine's message tags: every tag the
+	// machine mints carries the stream id, so several Machines (tenant
+	// reductions, or e.g. a main OR-reduce network and a tiny
+	// convergence-counter network) multiplex over one shared endpoint
+	// without cross-delivery as long as their streams differ. The zero
+	// value is comm.DefaultStream — classic single-tenant operation.
+	// Stream is a dedicated tag field, so each stream gets the full
+	// 32-bit round space.
 	Stream comm.StreamID
 	// RoundBase offsets this Machine's tag sequence. Tags must never be
 	// reused on an endpoint: a caller that creates successive Machines
@@ -148,14 +145,16 @@ func (m *Machine) Topology() *topo.Butterfly { return m.bf }
 
 // nextRound consumes one tag sequence number. All machines execute the
 // same SPMD call sequence, so their counters stay aligned without any
-// coordination traffic.
+// coordination traffic. The sequence is RoundBase+round over the full
+// 32-bit tag field; wrapping past it would reuse live tags, so it
+// panics instead.
 func (m *Machine) nextRound() uint32 {
-	r := m.opts.RoundBase + m.round
-	m.round++
-	if r >= 1<<24 {
-		panic("core: tag sequence space exhausted (16M collective rounds)")
+	r := uint64(m.opts.RoundBase) + uint64(m.round)
+	if r >= 1<<32 {
+		panic("core: tag sequence space exhausted (2^32 collective rounds)")
 	}
-	return uint32(m.opts.Channel)<<24 | r
+	m.round++
+	return uint32(r)
 }
 
 // RoundsUsed reports how many tag rounds this Machine has consumed,

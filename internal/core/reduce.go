@@ -88,46 +88,22 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, s *scratch, g 
 	defer func() { sp.Err = err; tr.End(&sp) }()
 	tag := m.tag(comm.KindReduce, layer, round)
 
-	quant := m.opts.Quant
-	if quant != sparse.QuantOff {
-		// Quantized plane: encode each piece (folding in the piece's
-		// error-feedback residual) into its reusable QVals header and ship
-		// that instead of raw floats.
-		qsends := g.qscatter[i]
-		for t, member := range ls.group {
-			q := &qsends[t]
-			seg := cur[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
-			var res []float32
-			if s.quant.resScatter != nil {
-				res = s.quant.resScatter[i][t]
-			}
-			sparse.Quantize(quant, q.Data, seg, res)
-			sp.BytesOut += int64(q.WireSize())
-			tr.CountValueBytes(int64(q.RawWireSize()), int64(q.WireSize()))
-			if err := m.ep.Send(member, tag, q); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		sends := g.scatter[i]
-		for t, member := range ls.group {
-			f := &sends[t]
-			f.Vals = cur[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
-			n := int64(f.WireSize())
-			sp.BytesOut += n
-			tr.CountValueBytes(n, n)
-			if err := m.ep.Send(member, tag, f); err != nil {
-				return nil, err
-			}
+	for t, member := range ls.group {
+		p := m.encode(&g.scatter[i][t], cur[int(ls.outOffsets[t])*w:int(ls.outOffsets[t+1])*w])
+		n := int64(p.WireSize())
+		sp.BytesOut += n
+		tr.CountValueBytes(int64(comm.RawWireSize(p)), n)
+		if err := m.ep.Send(member, tag, p); err != nil {
+			return nil, err
 		}
 	}
 
 	acc = g.acc[i]
 	tr.CountCombineShards(m.pool.Fill(acc, m.opts.Reducer.Identity()))
 
-	stage := s.stage[:len(ls.group)]
-	for t := range stage {
-		stage[t] = nil
+	vals, staged := s.vals[:len(ls.group)], s.staged[:len(ls.group)]
+	for t := range staged {
+		staged[t] = false
 	}
 	folded := 0
 	for received := 0; received < len(ls.group); {
@@ -139,44 +115,25 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, s *scratch, g 
 		if t < 0 {
 			return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d outside group", m.Rank(), layer, from)
 		}
-		if stage[t] != nil {
+		if staged[t] {
 			continue // duplicate delivery (chaotic transport)
 		}
-		if quant != sparse.QuantOff {
-			q, ok := p.(*comm.QVals)
-			if !ok || q.Mode != quant {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: unexpected payload %T (quantization %v)", m.Rank(), layer, p, quant)
-			}
-			if q.N != len(ls.outMaps[t])*w {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d has %d values, want %d",
-					m.Rank(), layer, from, q.N, len(ls.outMaps[t])*w)
-			}
-			// Dequantize into the piece's landing buffer; the staged fold
-			// below consumes it before this layer returns, so one landing
-			// buffer per (layer, member) serves every generation.
-			land := &s.quant.recv[i][t]
-			sparse.Dequantize(quant, land.Vals, q.Data)
-			sp.BytesIn += int64(q.WireSize())
-			stage[t] = land
-		} else {
-			f, ok := p.(*comm.Floats)
-			if !ok {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: unexpected payload %T", m.Rank(), layer, p)
-			}
-			if len(f.Vals) != len(ls.outMaps[t])*w {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d has %d values, want %d",
-					m.Rank(), layer, from, len(f.Vals), len(ls.outMaps[t])*w)
-			}
-			sp.BytesIn += int64(f.WireSize())
-			stage[t] = f
+		// A quantized piece lands in its (layer, member) buffer; the staged
+		// fold below consumes it before this layer returns, so one landing
+		// buffer serves every generation.
+		v, err := m.decode(p, len(ls.outMaps[t])*w, s.landing(i, t))
+		if err != nil {
+			return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d: %w", m.Rank(), layer, from, err)
 		}
+		sp.BytesIn += int64(p.WireSize())
+		vals[t], staged[t] = v, true
 		received++
-		for folded < len(ls.group) && stage[folded] != nil {
+		for folded < len(ls.group) && staged[folded] {
 			// Each staged piece is folded by the sharded kernel: its map is
 			// injective into the union, so shards touch disjoint rows and
 			// the per-row fold order — piece by piece, in member order —
 			// is exactly the serial one.
-			tr.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], stage[folded].Vals, w))
+			tr.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], vals[folded], w))
 			folded++
 		}
 	}
@@ -212,12 +169,6 @@ func (c *Config) gatherUp(cur []float32, round uint32, s *scratch, g *genBufs) (
 	return inVals, nil
 }
 
-// quantGathered marks a gather slot as received when the segment was
-// dequantized straight into place and there is no Floats payload to
-// store (the stage slots only need any non-nil value for duplicate
-// detection).
-var quantGathered = &comm.Floats{}
-
 // gatherLayer runs one layer of the upward allgather: extract and
 // return to each member the values for the in-piece it sent down during
 // configuration (the g maps), all sends issued before any receive, then
@@ -235,44 +186,22 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, s *scratch, 
 	defer func() { sp.Err = err; tr.End(&sp) }()
 	tag := m.tag(comm.KindGather, layer, round)
 
-	sends := g.gather[i]
-	quant := m.opts.Quant
-	if quant != sparse.QuantOff {
-		// Quantized plane: gather into the piece's float staging buffer,
-		// then encode (with error feedback) into its QVals header.
-		qsends := g.qgather[i]
-		for t, member := range ls.group {
-			f := &sends[t]
-			tr.CountCombineShards(m.pool.GatherInto(f.Vals, ls.inMaps[t], inVals, w, 0))
-			q := &qsends[t]
-			var res []float32
-			if s.quant.resGather != nil {
-				res = s.quant.resGather[i][t]
-			}
-			sparse.Quantize(quant, q.Data, f.Vals, res)
-			sp.BytesOut += int64(q.WireSize())
-			tr.CountValueBytes(int64(q.RawWireSize()), int64(q.WireSize()))
-			if err := m.ep.Send(member, tag, q); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for t, member := range ls.group {
-			f := &sends[t]
-			tr.CountCombineShards(m.pool.GatherInto(f.Vals, ls.inMaps[t], inVals, w, 0))
-			n := int64(f.WireSize())
-			sp.BytesOut += n
-			tr.CountValueBytes(n, n)
-			if err := m.ep.Send(member, tag, f); err != nil {
-				return nil, err
-			}
+	for t, member := range ls.group {
+		v := &g.gather[i][t]
+		tr.CountCombineShards(m.pool.GatherInto(v.raw.Vals, ls.inMaps[t], inVals, w, 0))
+		p := m.encode(v, v.raw.Vals)
+		n := int64(p.WireSize())
+		sp.BytesOut += n
+		tr.CountValueBytes(int64(comm.RawWireSize(p)), n)
+		if err := m.ep.Send(member, tag, p); err != nil {
+			return nil, err
 		}
 	}
 
 	next = g.next[i]
-	seen := s.stage[:len(ls.group)]
+	seen := s.staged[:len(ls.group)]
 	for t := range seen {
-		seen[t] = nil
+		seen[t] = false
 	}
 	for received := 0; received < len(ls.group); {
 		from, p, err := m.ep.RecvGroup(s.groups[i], tag)
@@ -283,41 +212,67 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, s *scratch, 
 		if t < 0 {
 			return nil, fmt.Errorf("core: rank %d gather layer %d: piece from %d outside group", m.Rank(), layer, from)
 		}
-		if seen[t] != nil {
+		if seen[t] {
 			continue // duplicate delivery
 		}
+		// Gather segments are disjoint, so a quantized piece dequantizes
+		// straight into place and the copy below is a no-op.
 		seg := next[int(ls.inOffsets[t])*w : int(ls.inOffsets[t+1])*w]
-		if quant != sparse.QuantOff {
-			q, ok := p.(*comm.QVals)
-			if !ok || q.Mode != quant {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: unexpected payload %T (quantization %v)", m.Rank(), layer, p, quant)
-			}
-			if q.N != len(seg) {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: segment from %d has %d values, want %d",
-					m.Rank(), layer, from, q.N, len(seg))
-			}
-			sp.BytesIn += int64(q.WireSize())
-			// Gather segments are disjoint, so dequantize straight into
-			// place; mark the slot with the sentinel for duplicate
-			// detection.
-			sparse.Dequantize(quant, seg, q.Data)
-			seen[t] = quantGathered
-		} else {
-			f, ok := p.(*comm.Floats)
-			if !ok {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: unexpected payload %T", m.Rank(), layer, p)
-			}
-			if len(f.Vals) != len(seg) {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: segment from %d has %d values, want %d",
-					m.Rank(), layer, from, len(f.Vals), len(seg))
-			}
-			sp.BytesIn += int64(f.WireSize())
-			copy(seg, f.Vals)
-			seen[t] = f
+		v, err := m.decode(p, len(seg), seg)
+		if err != nil {
+			return nil, fmt.Errorf("core: rank %d gather layer %d: segment from %d: %w", m.Rank(), layer, from, err)
 		}
+		sp.BytesIn += int64(p.WireSize())
+		copy(seg, v)
+		seen[t] = true
 		received++
 	}
 	return next, nil
+}
+
+// encode returns the payload that ships vals through the piece's send
+// state v: the raw Floats header pointed at vals (zero-copy) or, when
+// quantizing, v's QVals refilled from vals with its error-feedback
+// residual folded in. encode and decode are the only codec-specific
+// code on the value path.
+//
+//kylix:hotpath
+func (m *Machine) encode(v *valueSend, vals []float32) comm.Payload {
+	if m.opts.Quant == sparse.QuantOff {
+		v.raw.Vals = vals
+		return &v.raw
+	}
+	sparse.Quantize(m.opts.Quant, v.q.Data, vals, v.res)
+	return &v.q
+}
+
+// decode checks a received value piece — payload type, quantization
+// mode and a count of n values — and returns its values: a raw piece's
+// own slice (zero-copy), or a quantized piece dequantized into dst
+// (len n).
+//
+//kylix:hotpath
+func (m *Machine) decode(p comm.Payload, n int, dst []float32) ([]float32, error) {
+	quant := m.opts.Quant
+	if quant == sparse.QuantOff {
+		f, ok := p.(*comm.Floats)
+		if !ok {
+			return nil, fmt.Errorf("unexpected payload %T", p)
+		}
+		if len(f.Vals) != n {
+			return nil, fmt.Errorf("%d values, want %d", len(f.Vals), n)
+		}
+		return f.Vals, nil
+	}
+	q, ok := p.(*comm.QVals)
+	if !ok || q.Mode != quant {
+		return nil, fmt.Errorf("unexpected payload %T (quantization %v)", p, quant)
+	}
+	if q.N != n {
+		return nil, fmt.Errorf("%d values, want %d", q.N, n)
+	}
+	sparse.Dequantize(quant, dst, q.Data)
+	return dst, nil
 }
 
 // ConfigureReduce fuses configuration and reduction in a single downward

@@ -14,29 +14,37 @@ type genBufs struct {
 	// acc[i] is layer i+1's scatter-reduce accumulator
 	// (len = |outUnion| * width).
 	acc [][]float32
-	// scatter[i][t] is the reusable send header for the scatter piece to
-	// layer i+1's member t; its Vals is re-pointed at a segment of the
+	// scatter[i][t] is the send state of the scatter piece to layer
+	// i+1's member t; its raw header is re-pointed at a segment of the
 	// current value vector each round.
-	scatter [][]comm.Floats
-	// gather[i][t] is the send header for the allgather piece to layer
-	// i+1's member t; its Vals is a fixed buffer (len = |inMaps[t]| *
-	// width) refilled by GatherInto each round.
-	gather [][]comm.Floats
+	scatter [][]valueSend
+	// gather[i][t] is the send state of the allgather piece to layer
+	// i+1's member t; its raw header's Vals is a fixed buffer
+	// (len = |inMaps[t]| * width) refilled by GatherInto each round.
+	gather [][]valueSend
 	// inVals is the bottom turnaround vector (len = |bottomIn| * width).
 	inVals []float32
 	// next[i] is the allgather assembly buffer below layer i+1
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
 	// otherwise). next[0] is the vector handed back to the caller.
 	next [][]float32
-	// qscatter/qgather mirror scatter/gather when Options.Quant is a
-	// lossy mode: reusable QVals send headers whose Data (sized exactly
-	// by sparse.QuantizedSize) is refilled by the quantize kernels each
-	// round. Like gather value buffers, the Data bytes may still be
-	// draining through a transport when the round ends, so they live in
-	// the two-generation arena and are only rewritten once quiescent.
-	// Nil when quantization is off.
-	qscatter [][]comm.QVals
-	qgather  [][]comm.QVals
+}
+
+// valueSend is the reusable send state of one value piece. raw ships
+// the values as plain float32s. When Options.Quant is a lossy mode, q
+// is the piece's quantized header, whose Data (sized exactly by
+// sparse.QuantizedSize) is refilled by the quantize kernels each round;
+// like the gather value buffers, Data may still be draining through a
+// transport when the round ends, so it lives in the two-generation
+// arena. res is the piece's error-feedback residual (nil when
+// quantization is off or Options.QuantNoFeedback is set): each round's
+// quantization error is left there and added to the next round's
+// values before encoding. It is not scratch in the reuse sense — both
+// generations share one residual per piece, and it is never cleared.
+type valueSend struct {
+	raw comm.Floats
+	q   comm.QVals
+	res []float32
 }
 
 // scratch is a Config's two-generation reduction arena plus the
@@ -61,41 +69,26 @@ type scratch struct {
 	gen   int
 	bufs  [2]genBufs
 	ready [2]bool
-	// stage holds arrival-order receipts until they can be folded in
-	// canonical member order; sized to the widest layer group. Non-nil
-	// entries double as duplicate-delivery guards. Shared from the
-	// machine-level cfgScratch (one goroutine per machine, and each
-	// Reduce clears it before use).
-	stage []*comm.Floats
+	// vals[t] holds the values received from group slot t until they can
+	// be folded in canonical member order, and staged[t] records the
+	// receipt — the duplicate-delivery guard. A piece with no values may
+	// be a nil slice, so receipt is the flag, never the slice. Both are
+	// the machine's configuration-piece staging (cfgScratch.valP/seen):
+	// one goroutine per machine, passes never overlap, and each layer
+	// clears the flags before use.
+	vals   [][]float32
+	staged []bool
 	// groups[i][t] is the singleton group {layers[i].group[t]} — the
 	// RecvGroup argument that makes receives pure arrival-order with no
 	// cancellation. Shared from the machine-level cfgScratch: the layer
 	// groups are fixed by the topology, not by the Config.
 	groups [][][]int
-	// quant is the quantization working state (dequantize landing
-	// buffers and error-feedback residuals); nil when Options.Quant is
-	// off. It lives on the scratch for lifetime convenience, but the
-	// residuals are not scratch in the reuse sense: they carry state
-	// from round to round and must never be cleared between rounds.
-	quant *quantState
-}
-
-// quantState is a Config's quantization working state.
-type quantState struct {
-	// recv[i][t] is the dequantize landing buffer for the scatter piece
-	// received from layer i+1's member t (len = |outMaps[t]| * width).
-	// Received QVals decode into it and the existing staged-fold
-	// machinery consumes it within the same layer on the same
-	// goroutine, so one instance (not one per generation) suffices.
-	recv [][]comm.Floats
-	// resScatter[i][t] is the error-feedback residual of the scatter
-	// piece sent to layer i+1's member t (len = the piece's value
-	// count); resGather[i][t] likewise for the allgather piece
-	// (len = |inMaps[t]| * width). Each round's quantization error is
-	// left here and added to the next round's values before encoding.
-	// Nil (kernels run without feedback) when Options.QuantNoFeedback.
-	resScatter [][][]float32
-	resGather  [][][]float32
+	// land[i][t] is the dequantize landing buffer for the scatter piece
+	// received from layer i+1's member t (len = |outMaps[t]| * width);
+	// nil when values ship raw. The staged fold consumes it within the
+	// same layer on the same goroutine, so one instance (not one per
+	// generation) suffices.
+	land [][][]float32
 }
 
 // flip advances to the next generation — building it on first use — and
@@ -118,79 +111,67 @@ func (c *Config) ensureScratch() *scratch {
 	if c.scratch != nil {
 		return c.scratch
 	}
-	cs := c.mach.ensureCfgScratch()
-	c.scratch = &scratch{stage: cs.stage, groups: cs.groups}
-	if c.mach.opts.Quant != sparse.QuantOff {
-		c.scratch.quant = c.buildQuantState()
-	}
-	return c.scratch
-}
-
-// buildQuantState sizes the dequantize landing buffers and, unless
-// feedback is disabled, the per-piece error-feedback residuals
-// (zero-initialised: the first round has no prior error to fold in).
-//
-//kylix:coldpath
-func (c *Config) buildQuantState() *quantState {
 	w := c.mach.opts.Width
-	ef := !c.mach.opts.QuantNoFeedback
-	qs := &quantState{recv: make([][]comm.Floats, len(c.layers))}
-	if ef {
-		qs.resScatter = make([][][]float32, len(c.layers))
-		qs.resGather = make([][][]float32, len(c.layers))
-	}
-	for i := range c.layers {
-		ls := &c.layers[i]
-		qs.recv[i] = make([]comm.Floats, len(ls.group))
-		if ef {
-			qs.resScatter[i] = make([][]float32, len(ls.group))
-			qs.resGather[i] = make([][]float32, len(ls.group))
-		}
-		for t := range ls.group {
-			qs.recv[i][t].Vals = make([]float32, len(ls.outMaps[t])*w)
-			if ef {
-				qs.resScatter[i][t] = make([]float32, int(ls.outOffsets[t+1]-ls.outOffsets[t])*w)
-				qs.resGather[i][t] = make([]float32, len(ls.inMaps[t])*w)
+	cs := c.mach.ensureCfgScratch()
+	s := &scratch{vals: cs.valP, staged: cs.seen, groups: cs.groups}
+	if c.mach.opts.Quant != sparse.QuantOff {
+		s.land = make([][][]float32, len(c.layers))
+		for i := range c.layers {
+			ls := &c.layers[i]
+			s.land[i] = make([][]float32, len(ls.group))
+			for t := range ls.group {
+				s.land[i][t] = make([]float32, len(ls.outMaps[t])*w)
 			}
 		}
 	}
-	return qs
+	c.scratch = s
+	return s
 }
 
-// buildGen sizes one generation of the reduction arena.
+// landing returns the dequantize landing buffer for the scatter piece
+// from layer i+1's member t, or nil when values ship raw.
+func (s *scratch) landing(i, t int) []float32 {
+	if s.land == nil {
+		return nil
+	}
+	return s.land[i][t]
+}
+
+// buildGen sizes one generation of the reduction arena. Error-feedback
+// residuals are allocated (zeroed: the first round has no prior error
+// to fold in) with the first generation built and shared by the second.
 //
 //kylix:coldpath
 func (c *Config) buildGen(s *scratch, gen int) {
 	w := c.mach.opts.Width
 	quant := c.mach.opts.Quant
-	g := &s.bufs[gen]
+	feedback := quant != sparse.QuantOff && !c.mach.opts.QuantNoFeedback
+	g, other := &s.bufs[gen], &s.bufs[gen^1]
 	g.acc = make([][]float32, len(c.layers))
-	g.scatter = make([][]comm.Floats, len(c.layers))
-	g.gather = make([][]comm.Floats, len(c.layers))
+	g.scatter = make([][]valueSend, len(c.layers))
+	g.gather = make([][]valueSend, len(c.layers))
 	g.next = make([][]float32, len(c.layers))
 	g.inVals = make([]float32, len(c.bottomIn())*w)
-	if quant != sparse.QuantOff {
-		g.qscatter = make([][]comm.QVals, len(c.layers))
-		g.qgather = make([][]comm.QVals, len(c.layers))
-	}
 	for i := range c.layers {
 		ls := &c.layers[i]
 		g.acc[i] = make([]float32, len(ls.outUnion)*w)
-		g.scatter[i] = make([]comm.Floats, len(ls.group))
-		g.gather[i] = make([]comm.Floats, len(ls.group))
-		if quant != sparse.QuantOff {
-			g.qscatter[i] = make([]comm.QVals, len(ls.group))
-			g.qgather[i] = make([]comm.QVals, len(ls.group))
-		}
+		g.scatter[i] = make([]valueSend, len(ls.group))
+		g.gather[i] = make([]valueSend, len(ls.group))
 		for t := range ls.group {
-			g.gather[i][t].Vals = make([]float32, len(ls.inMaps[t])*w)
+			sc, ga := &g.scatter[i][t], &g.gather[i][t]
+			ns := int(ls.outOffsets[t+1]-ls.outOffsets[t]) * w
+			ng := len(ls.inMaps[t]) * w
+			ga.raw.Vals = make([]float32, ng)
 			if quant != sparse.QuantOff {
-				ns := int(ls.outOffsets[t+1]-ls.outOffsets[t]) * w
-				g.qscatter[i][t] = comm.QVals{Mode: quant, N: ns,
-					Data: make([]byte, sparse.QuantizedSize(quant, ns))}
-				ng := len(ls.inMaps[t]) * w
-				g.qgather[i][t] = comm.QVals{Mode: quant, N: ng,
-					Data: make([]byte, sparse.QuantizedSize(quant, ng))}
+				sc.q = comm.QVals{Mode: quant, N: ns, Data: make([]byte, sparse.QuantizedSize(quant, ns))}
+				ga.q = comm.QVals{Mode: quant, N: ng, Data: make([]byte, sparse.QuantizedSize(quant, ng))}
+			}
+			if feedback {
+				if s.ready[gen^1] {
+					sc.res, ga.res = other.scatter[i][t].res, other.gather[i][t].res
+				} else {
+					sc.res, ga.res = make([]float32, ns), make([]float32, ng)
+				}
 			}
 		}
 		below := c.inSet
@@ -215,10 +196,10 @@ type cfgScratch struct {
 	groupOf [][]int
 	// groups[layer-1][t] is the singleton receive group {groupOf[t]}.
 	groups [][][]int
-	// stage is the reduction's arrival-order staging (see scratch.stage).
-	stage []*comm.Floats
 	// inP/outP/valP/seen stage one layer's received configuration
-	// pieces, indexed by group slot; sized to the widest layer.
+	// pieces, indexed by group slot; sized to the widest layer. valP and
+	// seen double as the reduction's arrival-order staging (see
+	// scratch.vals).
 	inP, outP []sparse.Set
 	valP      [][]float32
 	seen      []bool
@@ -254,7 +235,6 @@ func (m *Machine) ensureCfgScratch() *cfgScratch {
 			cs.groups[layer-1][t] = group[t : t+1 : t+1]
 		}
 	}
-	cs.stage = make([]*comm.Floats, maxDeg)
 	cs.inP = make([]sparse.Set, maxDeg)
 	cs.outP = make([]sparse.Set, maxDeg)
 	cs.valP = make([][]float32, maxDeg)

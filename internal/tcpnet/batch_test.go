@@ -109,11 +109,11 @@ func TestBatcherCapacityClamps(t *testing.T) {
 		t.Fatal("not full at ring capacity")
 	}
 
-	// Byte cap: MaxBatchBytes 1 closes the batch at the first frame.
+	// Byte cap: a 1-byte cap closes the batch at the first frame.
 	b2 := newBatcher(4096, 1, m)
 	b2.stage(stamped{seq: 1, data: []byte("payload")})
 	if !b2.full() {
-		t.Fatal("not full past MaxBatchBytes")
+		t.Fatal("not full past the byte cap")
 	}
 
 	// Degenerate ring still yields a working single-frame batcher.
@@ -163,45 +163,6 @@ func TestWireCoalescingCountsBatches(t *testing.T) {
 	}
 	if batched > sent {
 		t.Fatalf("FramesBatched %d > FramesSent %d", batched, sent)
-	}
-}
-
-func TestMaxBatchBytesOneDisablesCoalescing(t *testing.T) {
-	m := obs.NewTransportMetrics(nil)
-	nodes := testCluster(t, 2, Options{Metrics: m, MaxBatchBytes: 1})
-	const count = 100
-	for i := 0; i < count; i++ {
-		tag := comm.MakeTag(comm.KindApp, 0, uint32(i))
-		if err := nodes[0].Send(1, tag, &comm.Floats{Vals: []float32{float32(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < count; i++ {
-		p, err := nodes[1].Recv(0, comm.MakeTag(comm.KindApp, 0, uint32(i)))
-		if err != nil {
-			t.Fatalf("msg %d: %v", i, err)
-		}
-		if p.(*comm.Floats).Vals[0] != float32(i) {
-			t.Fatalf("msg %d corrupted", i)
-		}
-	}
-	if got := m.FramesBatched.Value(); got != 0 {
-		t.Fatalf("FramesBatched = %d with MaxBatchBytes 1, want 0", got)
-	}
-	if sent, writev := m.FramesSent.Value(), m.WritevCalls.Value(); sent != writev {
-		t.Fatalf("FramesSent %d != WritevCalls %d: unbatched frames must go 1:1", sent, writev)
-	}
-}
-
-func TestNagleOptionStillDelivers(t *testing.T) {
-	nodes := testCluster(t, 2, Options{EnableNagle: true})
-	tag := comm.MakeTag(comm.KindApp, 0, 3)
-	if err := nodes[0].Send(1, tag, &comm.Bytes{Data: []byte("nagle on")}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := nodes[1].Recv(0, tag)
-	if err != nil || string(p.(*comm.Bytes).Data) != "nagle on" {
-		t.Fatalf("delivery with Nagle enabled broken: %v %v", p, err)
 	}
 }
 

@@ -68,24 +68,6 @@ type Options struct {
 	// bounds memory, and is sized far beyond the in-flight window a
 	// broken socket can lose.
 	ResendBuffer int
-	// MaxBatchBytes bounds the payload bytes of one coalesced write
-	// batch (default 1 MiB): the writer drains its queue and gathers
-	// the pending frames into a single writev, closing the batch at the
-	// first frame that reaches the cap. The small sparse pieces of a
-	// deep butterfly layer thus share syscalls and packets — the Fig 2
-	// packet-size floor enforced at the sender. The cap is a byte budget,
-	// so it needs no retuning when value quantization (core.Options.Quant)
-	// shrinks each frame 2-4x: smaller frames simply pack more per batch,
-	// until maxBatchFrames (not bytes) closes it. 1 effectively disables
-	// coalescing (every frame still leaves in one writev instead of two
-	// sequential writes).
-	MaxBatchBytes int
-	// EnableNagle leaves the kernel's Nagle algorithm on instead of
-	// setting TCP_NODELAY. The default (Nagle off) is deliberate: flush
-	// policy belongs to the batching writer, which already coalesces
-	// everything queued in a protocol burst, and the burst's last small
-	// packet must not wait on a delayed ACK.
-	EnableNagle bool
 	// FailFast makes Send return a peer's recorded stream error instead
 	// of silently dropping. Leave it off under replication (§V requires
 	// survivors to keep streaming to dead peers without erroring); turn
@@ -118,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResendBuffer == 0 {
 		o.ResendBuffer = 4096
-	}
-	if o.MaxBatchBytes == 0 {
-		o.MaxBatchBytes = 1 << 20
 	}
 	if o.Recorder == nil {
 		o.Recorder = comm.NopRecorder{}
@@ -239,6 +218,21 @@ func (r *ring) each(fn func(stamped) bool) bool {
 	return true
 }
 
+// maxBatchBytes bounds the payload bytes of one coalesced write batch:
+// the writer drains its queue and gathers the pending frames into a
+// single writev, closing the batch at the first frame that reaches the
+// cap. The small sparse pieces of a deep butterfly layer thus share
+// syscalls and packets — the Fig 2 packet-size floor enforced at the
+// sender. The cap is a byte budget, so it needs no retuning when value
+// quantization (core.Options.Quant) shrinks each frame 2-4x: smaller
+// frames simply pack more per batch, until maxBatchFrames closes it.
+//
+// Connections keep Go's default TCP_NODELAY (Nagle off) deliberately:
+// flush policy belongs to the batching writer, which already coalesces
+// everything queued in a protocol burst, and the burst's last small
+// packet must not wait on a delayed ACK.
+const maxBatchBytes = 1 << 20
+
 // maxBatchFrames caps a coalesced batch's frame count. Two iovecs per
 // frame (header, payload) keeps the largest batch at 512 iovecs, well
 // under the kernel's IOV_MAX of 1024; the batcher additionally clamps
@@ -246,7 +240,7 @@ func (r *ring) each(fn func(stamped) bool) bool {
 // recycles its encode buffer and an eviction must therefore never land
 // on a frame still staged in the current batch (possible only if one
 // batch outgrew the whole ring). With quantized value payloads (2-4x
-// smaller frames) this count cap, not MaxBatchBytes, is what usually
+// smaller frames) this count cap, not maxBatchBytes, is what usually
 // closes a batch — still one writev per burst, just a fuller one.
 const maxBatchFrames = 256
 
@@ -530,7 +524,7 @@ func (n *Node) writeLoop(to int, pr *peer) {
 		conn   net.Conn
 		dialed bool     // first connection established at least once
 		spare  [][]byte // encode buffers reclaimed from ring evictions
-		batch  = newBatcher(n.opts.ResendBuffer, n.opts.MaxBatchBytes, n.opts.Metrics)
+		batch  = newBatcher(n.opts.ResendBuffer, maxBatchBytes, n.opts.Metrics)
 	)
 	// encode stamps and wire-encodes a queued frame, reusing a reclaimed
 	// buffer when one is available and banking the ring's eviction.
@@ -593,9 +587,6 @@ func (n *Node) writeLoop(to int, pr *peer) {
 			attempts++
 			c, err := net.DialTimeout("tcp", n.addrs[to], remain)
 			if err == nil {
-				if tc, ok := c.(*net.TCPConn); ok {
-					_ = tc.SetNoDelay(!n.opts.EnableNagle)
-				}
 				binary.LittleEndian.PutUint32(hdr[:4], magic)
 				binary.LittleEndian.PutUint32(hdr[4:8], uint32(n.rank))
 				if _, werr := c.Write(hdr[:8]); werr == nil &&
@@ -646,9 +637,6 @@ func (n *Node) writeLoop(to int, pr *peer) {
 			c, err := net.DialTimeout("tcp", n.addrs[to], time.Second)
 			if err != nil {
 				return
-			}
-			if tc, ok := c.(*net.TCPConn); ok {
-				_ = tc.SetNoDelay(!n.opts.EnableNagle)
 			}
 			_ = c.SetWriteDeadline(time.Now().Add(2 * time.Second))
 			binary.LittleEndian.PutUint32(hdr[:4], magic)

@@ -603,9 +603,9 @@ func TestDesignFromSampleFacade(t *testing.T) {
 	}
 }
 
-func TestChannelDerivedNetworks(t *testing.T) {
+func TestStreamDerivedNetworks(t *testing.T) {
 	// The diameter/components pattern at the facade level: a MAX network
-	// on channel 1 interleaved with the main SUM network, across two
+	// on stream 1 interleaved with the main SUM network, across two
 	// cluster runs.
 	cluster, err := kylix.NewCluster(4, kylix.WithDegrees(2, 2))
 	if err != nil {
@@ -614,7 +614,7 @@ func TestChannelDerivedNetworks(t *testing.T) {
 	defer cluster.Close()
 	round := func() error {
 		return cluster.Run(func(node *kylix.Node) error {
-			maxNet, err := node.Channel(1, kylix.WithReducer(kylix.Max))
+			maxNet, err := node.Stream(1, kylix.WithReducer(kylix.Max))
 			if err != nil {
 				return err
 			}
@@ -653,25 +653,25 @@ func TestChannelDerivedNetworks(t *testing.T) {
 	}
 }
 
-func TestChannelValidation(t *testing.T) {
+func TestStreamDerivedValidation(t *testing.T) {
 	cluster, err := kylix.NewCluster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 	err = cluster.Run(func(node *kylix.Node) error {
-		if _, err := node.Channel(0); err == nil {
-			t.Error("accepted the node's own channel")
+		if _, err := node.Stream(0); err == nil {
+			t.Error("accepted the node's own stream")
 		}
-		if _, err := node.Channel(1, kylix.WithChannel(2)); err == nil {
-			t.Error("accepted conflicting channel option")
-		}
-		ch, err := node.Channel(3, kylix.WithWidth(2))
+		st, err := node.Stream(3, kylix.WithWidth(2))
 		if err != nil {
 			return err
 		}
-		if ch.Width() != 2 {
-			t.Errorf("derived width %d", ch.Width())
+		if st.Width() != 2 {
+			t.Errorf("derived width %d", st.Width())
+		}
+		if _, err := st.Stream(3); err == nil {
+			t.Error("accepted the derived node's own stream")
 		}
 		return nil
 	})

@@ -26,9 +26,9 @@ type Node struct {
 	// tn is the node's raw TCP transport when built by ListenNode —
 	// CloseStream purges through it. Nil for in-process cluster nodes.
 	tn *tcpnet.Node
-	// channels holds networks derived with Channel, so tag accounting
+	// derived holds the networks derived with Stream, so tag accounting
 	// covers them across repeated Cluster.Run calls.
-	channels []*Node
+	derived []*Node
 }
 
 // newNode builds one machine's handle. physRank is the machine's
@@ -40,17 +40,7 @@ func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32,
 	if err != nil {
 		return nil, err
 	}
-	mach, err := core.NewMachine(lep, bf, core.Options{
-		Width:          cfg.width,
-		Reducer:        cfg.reducer,
-		Strict:         cfg.strict,
-		Channel:        cfg.channel,
-		Stream:         cfg.stream,
-		RoundBase:      roundBase,
-		Quant:          cfg.quant,
-		Tracer:         cfg.obsv.Node(physRank),
-		CombineWorkers: cfg.combineWorkers,
-	})
+	mach, err := core.NewMachine(lep, bf, machineOptions(cfg, roundBase, physRank))
 	if err != nil {
 		return nil, err
 	}
@@ -60,57 +50,67 @@ func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32,
 	}, nil
 }
 
-// Channel derives a second, independent allreduce network over the same
-// cluster: its message tags live in the given channel namespace, so it
-// can interleave collectives with the main network freely. This is how
-// multi-network programs compose — e.g. an OR-reduce sketch network plus
-// a width-1 sum network for a global convergence counter. The channel
-// must differ from the node's own (default 0) and from other derived
-// channels, and every machine must derive the same channels with the
-// same options.
-//
-// Options may override WithWidth, WithReducer and WithStrict; transport
-// and replication are inherited.
-func (n *Node) Channel(ch uint8, opts ...Option) (*Node, error) {
-	if ch == n.cfg.channel {
-		return nil, fmt.Errorf("kylix: channel %d is the node's own", ch)
-	}
-	cfg := n.cfg
-	cfg.channel = ch
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.channel != ch {
-		return nil, fmt.Errorf("kylix: channel option conflicts with Channel(%d)", ch)
-	}
-	mach, err := core.NewMachine(n.ep, n.bf, core.Options{
+// machineOptions builds the options of a node's core Machine: cfg's
+// data-plane settings, the tag round base and the tracer of the
+// machine's physical rank.
+func machineOptions(cfg config, roundBase uint32, physRank int) core.Options {
+	return core.Options{
 		Width:          cfg.width,
 		Reducer:        cfg.reducer,
 		Strict:         cfg.strict,
-		Channel:        ch,
 		Stream:         cfg.stream,
-		RoundBase:      n.base,
+		RoundBase:      roundBase,
 		Quant:          cfg.quant,
-		Tracer:         cfg.obsv.Node(n.physRank),
+		Tracer:         cfg.obsv.Node(physRank),
 		CombineWorkers: cfg.combineWorkers,
-	})
+	}
+}
+
+// Stream derives a second, independent allreduce network over the same
+// endpoint: its message tags live in the given stream's namespace, so
+// its collectives interleave freely with the node's own and with other
+// streams'. This is how multi-network programs compose — e.g. an
+// OR-reduce sketch network plus a width-1 sum network for a global
+// convergence counter — and it is the cross-process counterpart of
+// Cluster.OpenStream. Every machine must derive the same ids with the
+// same options, and the id must be neither 0 (the cluster's own
+// namespace) nor the node's own stream. Options may override WithWidth, WithReducer, WithStrict,
+// WithQuantization and WithCombineWorkers; transport and replication
+// are inherited.
+//
+// The derived network starts at the node's tag round base and its
+// rounds count as the node's, so repeated Cluster.Run calls that derive
+// the same id never reuse its tags. An id must be derived at most once
+// per node. On a Cluster node, ids share the space OpenStream hands out
+// (1, 2, ... in opening order): derive only ids that no open stream of
+// the cluster uses.
+func (n *Node) Stream(id uint16, opts ...Option) (*Node, error) {
+	if id == 0 || comm.StreamID(id) == n.cfg.stream {
+		return nil, fmt.Errorf("kylix: stream %d is the cluster's or the node's own namespace", id)
+	}
+	cfg := n.cfg
+	for _, o := range opts {
+		o(&cfg)
+	}
+	cfg.stream = comm.StreamID(id)
+	mach, err := core.NewMachine(n.ep, n.bf, machineOptions(cfg, n.base, n.physRank))
 	if err != nil {
 		return nil, err
 	}
 	derived := &Node{
 		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: n.base,
-		physRank: n.physRank, width: cfg.width,
+		physRank: n.physRank, width: cfg.width, tn: n.tn,
 	}
-	n.channels = append(n.channels, derived)
+	n.derived = append(n.derived, derived)
 	return derived, nil
 }
 
 // roundsUsed reports the maximum tag rounds consumed by this node and
-// its derived channels (Cluster.Run uses it to keep tag spaces fresh
+// its derived networks (Cluster.Run uses it to keep tag spaces fresh
 // across runs).
 func (n *Node) roundsUsed() uint32 {
 	used := n.mach.RoundsUsed()
-	for _, c := range n.channels {
+	for _, c := range n.derived {
 		if u := c.roundsUsed(); u > used {
 			used = u
 		}

@@ -76,14 +76,11 @@ type config struct {
 	reducer        Reducer
 	strict         bool
 	recvTimeout    time.Duration
-	channel        uint8
 	trace          bool
 	faults         *faultnet.Plan
 	observe        bool
 	elastic        *ElasticOptions
 	combineWorkers int
-	maxBatchBytes  int
-	nagle          bool
 	// quant is the wire encoding of value blocks (default QuantOff).
 	quant Quantization
 	// stream is the tag namespace nodes built from this config mint
@@ -186,27 +183,6 @@ func WithQuantization(q Quantization) Option {
 	return func(c *config) { c.quant = q }
 }
 
-// WithMaxBatchBytes bounds the TCP transport's per-peer write batches:
-// queued frames are coalesced into a single gather-write (writev) of up
-// to n payload bytes, turning many small layer-piece sends into one
-// syscall — the Figure 2 packet-size floor chased at the sender. 0 (the
-// default) selects 1 MiB; 1 effectively disables coalescing (every
-// frame still goes out in one writev instead of two plain writes). The
-// memory transport ignores it.
-func WithMaxBatchBytes(n int) Option {
-	return func(c *config) { c.maxBatchBytes = n }
-}
-
-// WithNagle re-enables the kernel's Nagle algorithm on the TCP
-// transport's connections (TCP_NODELAY off). The default disables
-// Nagle and owns flush policy in the transport's batching writer —
-// frames queued in one protocol burst leave in one writev, and the last
-// packet of a burst is never held hostage to a delayed ACK. Enable it
-// only to compare against kernel-paced batching.
-func WithNagle() Option {
-	return func(c *config) { c.nagle = true }
-}
-
 // WithStrict makes configuration fail when a requested in-index has no
 // contributor anywhere (instead of gathering the reducer's identity).
 func WithStrict() Option {
@@ -217,13 +193,6 @@ func WithStrict() Option {
 // surface as errors rather than hangs (default 30s; 0 waits forever).
 func WithRecvTimeout(d time.Duration) Option {
 	return func(c *config) { c.recvTimeout = d }
-}
-
-// WithChannel namespaces the node's message tags so several independent
-// allreduce networks can share the same cluster (e.g. a main reduction
-// plus a convergence counter).
-func WithChannel(ch uint8) Option {
-	return func(c *config) { c.channel = ch }
 }
 
 // WithTrace enables traffic recording; see Cluster.Traffic.

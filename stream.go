@@ -133,12 +133,6 @@ func (s *Stream) Run(fn func(*Node) error) error {
 	return err
 }
 
-// Configure opens a Reduction on the stream: it runs the configuration
-// pass collectively (fn receives each machine's Node exactly as
-// Cluster.Run) — a convenience wrapper over Run for the common
-// configure-once shape.
-func (s *Stream) Configure(fn func(*Node) error) error { return s.Run(fn) }
-
 // Close tears the stream down: queued passes fail with ErrStreamClosed,
 // the in-flight pass (if any) drains, and every machine's mailbox
 // purges the stream's queued messages and pending-sender index entries
