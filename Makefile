@@ -3,10 +3,11 @@
 # (standard plus the kylix-vet invariant analyzers), build, test, race
 # (the concurrency-critical packages — transports, mailbox, reduction
 # core, fault fabric, replication, membership, worker pool, stream
-# registry — and the stream lifecycle under the race detector), soak
-# (the elastic-membership and multi-tenant stream chaos soaks on both
-# transports) and benchgate (the allocation gate on the warm reduction
-# hot path). Each lane is also a target of its own.
+# registry — plus the stream lifecycle and the reconfigure chaos soak
+# under the race detector), soak (the elastic-membership and
+# multi-tenant stream chaos soaks on both transports) and benchgate
+# (the allocation gate on the warm reduction hot path). Each lane is
+# also a target of its own.
 
 GO ?= go
 KYLIX_VET := bin/kylix-vet

@@ -162,14 +162,6 @@ func roundTrip(t *testing.T, p Payload) Payload {
 	return q
 }
 
-func TestKeysPayloadRoundTrip(t *testing.T) {
-	p := &Keys{Keys: sparse.MustNewSet([]int32{1, 5, 9})}
-	q := roundTrip(t, p).(*Keys)
-	if !q.Keys.Equal(p.Keys) {
-		t.Fatal("keys mismatch")
-	}
-}
-
 func TestFloatsPayloadRoundTrip(t *testing.T) {
 	p := &Floats{Vals: []float32{1.5, -2.25, 0}}
 	q := roundTrip(t, p).(*Floats)
@@ -197,7 +189,9 @@ func TestBytesPayloadRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPayloads(t *testing.T) {
-	for _, p := range []Payload{&Keys{}, &Floats{}, &KeysVals{}, &Bytes{}, &InOut{}, &Combined{}, &Delta{}, &Delta{InSame: true, OutSame: true}, &Control{}, &StreamCtl{}} {
+	for _, p := range []Payload{&Floats{}, &KeysVals{}, &Bytes{}, &ConfigPiece{}, &ConfigPiece{HasVals: true},
+		&ConfigPiece{InSame: true, OutSame: true}, &ConfigPiece{InSame: true, OutSame: true, HasVals: true},
+		&Control{}, &StreamCtl{}} {
 		roundTrip(t, p)
 	}
 }
@@ -268,16 +262,34 @@ func TestStreamCtlPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeltaPayloadRoundTrip(t *testing.T) {
+func TestConfigPiecePayloadRoundTrip(t *testing.T) {
 	in := sparse.MustNewSet([]int32{1, 2, 3})
-	p := &Delta{OutSame: true, In: in}
-	q := roundTrip(t, p).(*Delta)
-	if q.InSame || !q.OutSame || !q.In.Equal(in) || len(q.Out) != 0 {
-		t.Fatalf("delta mismatch: %+v", q)
+	out := sparse.MustNewSet([]int32{4, 9})
+	p := &ConfigPiece{OutSame: true, In: in}
+	q := roundTrip(t, p).(*ConfigPiece)
+	if q.InSame || !q.OutSame || q.HasVals || !q.In.Equal(in) || len(q.Out) != 0 {
+		t.Fatalf("marker piece mismatch: %+v", q)
 	}
 	// The all-same marker is two bytes regardless of the sets it stands for.
-	if n := (&Delta{InSame: true, OutSame: true}).WireSize(); n != 2 {
-		t.Fatalf("all-same delta costs %d bytes, want 2", n)
+	if n := (&ConfigPiece{InSame: true, OutSame: true}).WireSize(); n != 2 {
+		t.Fatalf("all-same piece costs %d bytes, want 2", n)
+	}
+
+	f := &ConfigPiece{In: in, Out: out, HasVals: true, Vals: []float32{1.5, -2}}
+	q = roundTrip(t, f).(*ConfigPiece)
+	if !q.HasVals || !q.In.Equal(in) || !q.Out.Equal(out) || len(q.Vals) != 2 || q.Vals[1] != -2 {
+		t.Fatalf("fused piece mismatch: %+v", q)
+	}
+	// The values flag is explicit: an empty fused piece with nil Vals
+	// still encodes (and decodes) as fused, and costs one count byte more
+	// than the plain piece.
+	e := &ConfigPiece{In: in, HasVals: true}
+	q = roundTrip(t, e).(*ConfigPiece)
+	if !q.HasVals || len(q.Vals) != 0 {
+		t.Fatalf("empty fused piece mismatch: %+v", q)
+	}
+	if d := e.WireSize() - (&ConfigPiece{In: in}).WireSize(); d != 1 {
+		t.Fatalf("empty value block costs %d bytes, want 1", d)
 	}
 }
 
@@ -291,7 +303,7 @@ func TestCompressedWireSavings(t *testing.T) {
 		idx = append(idx, i)
 	}
 	set := sparse.MustNewSet(idx)
-	p := &InOut{In: set, Out: set}
+	p := &ConfigPiece{In: set, Out: set}
 	wire, raw := p.WireSize(), p.RawWireSize()
 	if wire*3 > raw {
 		t.Fatalf("compressed %d bytes vs raw %d: want <= 1/3", wire, raw)
@@ -313,6 +325,9 @@ func TestDecodeErrors(t *testing.T) {
 		{3, 1, 0, 0, 0},                   // keysvals missing second count
 		{3, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2}, // keysvals truncated body
 		{4, 9, 0, 0, 0, 'x'},              // bytes truncated
+		{11},                              // config piece without flags
+		{11, 8},                           // config piece flag above bit 2
+		{11, 4},                           // config piece missing its sets
 	}
 	for i, c := range cases {
 		if _, err := DecodePayload(c); err == nil {
@@ -322,12 +337,16 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodeRejectsRetiredForms(t *testing.T) {
-	// The raw 8-byte-per-key index-set forms are no longer decodable,
-	// even when well formed.
+	// The raw 8-byte-per-key index-set forms and the compressed
+	// key-set, in/out and fused forms that ConfigPiece replaced are no
+	// longer decodable, even when well formed.
 	cases := map[string][]byte{
-		"keys":     {1, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0},
-		"inout":    {6, 0, 0, 0, 0, 0, 0, 0, 0},
-		"combined": {7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"keys":                {1, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0},
+		"inout":               {6, 0, 0, 0, 0, 0, 0, 0, 0},
+		"combined":            {7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"compressed keys":     {8, 0},
+		"compressed inout":    {9, 0, 0},
+		"compressed combined": {10, 0, 0, 0},
 	}
 	for name, c := range cases {
 		if p, err := DecodePayload(c); err == nil {

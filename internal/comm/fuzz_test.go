@@ -61,15 +61,14 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			Data: make([]byte, sparse.QuantizedSize(sparse.QuantINT8, len(vals)))}
 		sparse.QuantizeINT8(qi.Data, vals, nil)
 		payloads := []Payload{
-			&Keys{Keys: keys},
 			&Floats{Vals: vals},
 			&KeysVals{Keys: keys, Vals: vals},
 			&Bytes{Data: data},
-			&InOut{In: keys, Out: keys},
-			&Combined{In: keys, Out: keys, Vals: vals},
-			&Delta{In: keys, Out: keys},
-			&Delta{InSame: true, Out: keys},
-			&Delta{InSame: true, OutSame: true},
+			&ConfigPiece{In: keys, Out: keys},
+			&ConfigPiece{In: keys, Out: keys, HasVals: true, Vals: vals},
+			&ConfigPiece{In: keys, HasVals: true},
+			&ConfigPiece{InSame: true, Out: keys},
+			&ConfigPiece{InSame: true, OutSame: true},
 			&Control{Op: 1, Epoch: uint64(len(vals)), Leader: 3,
 				Members: keys32(keysRaw), Degrees: []int32{2, 2},
 				PropEpoch: uint64(len(data)), PropMembers: keys32(keysRaw),
@@ -110,7 +109,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 // encoding fails to decode (no silent short reads).
 func TestTruncationAlwaysErrors(t *testing.T) {
 	keys := sparse.MustNewSet([]int32{1, 2, 3, 100})
-	p := &Combined{In: keys, Out: keys, Vals: []float32{1, 2, 3, 4}}
+	p := &ConfigPiece{In: keys, Out: keys, HasVals: true, Vals: []float32{1, 2, 3, 4}}
 	buf := p.AppendTo(nil)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := DecodePayload(buf[:cut]); err == nil {

@@ -46,12 +46,12 @@ func RawWireSize(p Payload) int {
 }
 
 // Payload type discriminators on the wire. 2–4 are fixed-width
-// formats; the compressed index-set forms 8–11 live in
-// payload_config.go, 12–13 are control planes, and the quantized value
-// block 14 lives in payload_qvals.go. Every rank runs one binary and
-// nothing on the wire is persisted, so the retired raw
-// 8-byte-per-key index-set forms (1, 6 and 7) are rejected rather than
-// kept decodable.
+// formats; the configuration piece 11 lives in payload_config.go, 12–13
+// are control planes, and the quantized value block 14 lives in
+// payload_qvals.go. Every rank runs one binary and nothing on the wire
+// is persisted, so retired forms — the raw 8-byte-per-key index sets
+// (1, 6 and 7) and the earlier compressed key-set, in/out and fused
+// pieces (8, 9 and 10) — are rejected rather than kept decodable.
 const (
 	wireFloats   = 2
 	wireKeysVals = 3
@@ -90,16 +90,6 @@ func (m *wireMemo) wireSize(enc func() []byte) int {
 	return len(m.bytes(enc))
 }
 
-// Keys carries a sorted index set (configuration pass). It encodes with
-// the compressed index codec (sparse.AppendCompressed); the keys must
-// therefore be MakeKey-derived, which every Set built by sparse.NewSet
-// is.
-type Keys struct {
-	Keys sparse.Set
-
-	memo wireMemo
-}
-
 // Floats carries a value block (reduce and gather passes).
 type Floats struct {
 	Vals []float32
@@ -118,9 +108,6 @@ type Bytes struct {
 }
 
 // Clone implements Payload.
-func (p *Keys) Clone() Payload { return &Keys{Keys: p.Keys.Clone()} }
-
-// Clone implements Payload.
 func (p *Floats) Clone() Payload {
 	return &Floats{Vals: append([]float32(nil), p.Vals...)}
 }
@@ -134,21 +121,6 @@ func (p *KeysVals) Clone() Payload {
 func (p *Bytes) Clone() Payload {
 	return &Bytes{Data: append([]byte(nil), p.Data...)}
 }
-
-func (p *Keys) encode() []byte {
-	return sparse.AppendCompressed([]byte{wireKeysC}, p.Keys)
-}
-
-// WireSize implements Payload.
-func (p *Keys) WireSize() int { return p.memo.wireSize(p.encode) }
-
-// AppendTo implements Payload.
-func (p *Keys) AppendTo(buf []byte) []byte {
-	return append(buf, p.memo.bytes(p.encode)...)
-}
-
-// RawWireSize implements RawSizer.
-func (p *Keys) RawWireSize() int { return 1 + 4 + 8*len(p.Keys) }
 
 // WireSize implements Payload.
 func (p *Floats) WireSize() int { return 1 + 4 + 4*len(p.Vals) }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +192,72 @@ func TestLargeScaleValidation(t *testing.T) {
 	for l := 1; l < len(totals); l++ {
 		if totals[l] > totals[l-1] {
 			t.Fatalf("layer unions grew: %v", totals)
+		}
+	}
+}
+
+// TestConfigureReduceRejectsShortValues sends rank 0 a fused piece that
+// names one out-key but carries no values. The receive must fail with
+// an error rather than let the combine slice past the missing values.
+func TestConfigureReduceRejectsShortValues(t *testing.T) {
+	bf := topo.MustNew([]int{2})
+	net := memnet.New(bf.M(), memnet.WithRecvTimeout(5*time.Second))
+	defer net.Close()
+	var rank0Err error
+	err := memnet.Run(net, func(ep comm.Endpoint) error {
+		m, err := NewMachine(ep, bf, Options{})
+		if err != nil {
+			return err
+		}
+		if ep.Rank() == 1 {
+			// One out-key inside rank 0's layer-1 sub-range, no values.
+			mine := bf.RangeAt(0, 0).Sub(2, bf.Digit(0, 1))
+			var key sparse.Key
+			for i := int32(0); !mine.Contains(key); i++ {
+				key = sparse.MakeKey(i)
+			}
+			bad := &comm.ConfigPiece{Out: sparse.Set{key}, HasVals: true}
+			return ep.Send(0, m.tag(comm.KindConfigReduce, 1, m.nextRound()), bad)
+		}
+		s := sparse.MustNewSet([]int32{1, 2, 3})
+		_, _, rank0Err = m.ConfigureReduce(s, s, []float32{1, 2, 3})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rank0Err == nil || !strings.Contains(rank0Err.Error(), "0 values, want 1") {
+		t.Fatalf("malformed fused piece: got %v, want a value-count error", rank0Err)
+	}
+}
+
+// TestConfigureReduceEmptyOutNilVals runs the fused pass with one rank
+// contributing nothing and passing nil values: it must still combine
+// the values routed through it.
+func TestConfigureReduceEmptyOutNilVals(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	bf := topo.MustNew([]int{2, 2})
+	ws := randWorkloads(rng, bf.M(), 200, 25, 1, true)
+	ws[1] = workload{in: ws[1].in}
+	want := refReduce(ws, sparse.Sum, 1)
+	net := memnet.New(bf.M())
+	defer net.Close()
+	got := make([][]float32, bf.M())
+	err := memnet.Run(net, func(ep comm.Endpoint) error {
+		m, err := NewMachine(ep, bf, Options{})
+		if err != nil {
+			return err
+		}
+		_, res, err := m.ConfigureReduce(ws[ep.Rank()].in, ws[ep.Rank()].out, ws[ep.Rank()].vals)
+		got[ep.Rank()] = res
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range ws {
+		if !almostEqual(got[r], want[r], 1e-4) {
+			t.Fatalf("rank %d fused mismatch with an empty contributor", r)
 		}
 	}
 }

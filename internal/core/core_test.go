@@ -400,6 +400,45 @@ func TestTreeAllreduceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTreeAllreduceRejectsShortValues feeds each direction of the tree a
+// KeysVals naming one key but carrying no values: the receiver must
+// return an error instead of folding past the missing values.
+func TestTreeAllreduceRejectsShortValues(t *testing.T) {
+	bf := topo.MustNew([]int{2})
+	s := sparse.MustNewSet([]int32{1, 2, 3})
+	bad := &comm.KeysVals{Keys: sparse.MustNewSet([]int32{7})}
+	for _, honest := range []int{0, 1} {
+		n := memnet.New(bf.M(), memnet.WithRecvTimeout(5*time.Second))
+		var honestErr error
+		err := memnet.Run(n, func(ep comm.Endpoint) error {
+			m, err := NewMachine(ep, bf, Options{})
+			if err != nil {
+				return err
+			}
+			if ep.Rank() == honest {
+				_, _, honestErr = m.TreeAllreduce(s, s, []float32{1, 2, 3})
+				return nil
+			}
+			round := m.nextRound()
+			if ep.Rank() == 1 { // the child sends a short upward piece
+				return ep.Send(0, m.tag(comm.KindReduce, treeLevel(1), round), bad)
+			}
+			// The root swallows the child's piece and broadcasts a short one.
+			if _, err := ep.Recv(1, m.tag(comm.KindReduce, treeLevel(1), round)); err != nil {
+				return err
+			}
+			return ep.Send(1, m.tag(comm.KindGather, treeLevel(1), round), bad)
+		})
+		n.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if honestErr == nil || !strings.Contains(honestErr.Error(), "0 values, want 1") {
+			t.Fatalf("rank %d: malformed tree piece: got %v, want a value-count error", honest, honestErr)
+		}
+	}
+}
+
 func TestStrictModeReportsMissing(t *testing.T) {
 	// Machine 0 asks for an index nobody outputs.
 	bf := topo.MustNew([]int{2})

@@ -64,10 +64,11 @@ type Options struct {
 	// across rounds (the SparCML-style compensation). Results remain
 	// deterministic: every rank's output is a pure function of the seed
 	// and call sequence, bit-identical across reruns and transports.
-	// The downward pass of a fused ConfigureReduce still ships raw
-	// values (its Combined payloads interleave keys and values and run
-	// once per configuration, not per round); the upward allgather is
-	// quantized in both paths.
+	// The downward pass of a fused ConfigureReduce ships raw values
+	// (its ConfigPiece payloads interleave keys and values and run once
+	// per configuration, not per round, so no later round would feed
+	// back a quantization error); the upward allgather is quantized in
+	// both paths.
 	Quant sparse.Quantization
 	// QuantNoFeedback disables the error-feedback residuals, making
 	// each round's quantization independent (naive truncation). This
@@ -184,14 +185,10 @@ type layerState struct {
 	inUnion, outUnion sparse.Set
 	// inMaps[t]/outMaps[t] map positions of the piece received from
 	// group[t] into the unions: outMaps are the f maps applied during
-	// scatter-reduce, inMaps the g maps applied during allgather.
+	// scatter-reduce, inMaps the g maps applied during allgather. They
+	// also let an incremental Reconfigure rebuild a piece a neighbour
+	// marks unchanged: piece[i] = union[maps[t][i]].
 	inMaps, outMaps [][]int32
-	// recvIn[t]/recvOut[t] are private copies of the pieces received from
-	// group[t], retained so an incremental Reconfigure can substitute the
-	// stored piece when a neighbour sends a same-as-before marker. They
-	// are populated by the first Reconfigure over the Config (Configure
-	// leaves them nil; see Config.reconfigReady).
-	recvIn, recvOut []sparse.Set
 }
 
 // Config is the reusable result of a configuration pass: for fixed in
@@ -212,12 +209,6 @@ type Config struct {
 	// scratch is the reusable two-generation reduction arena, built
 	// lazily on the first Reduce so Configure-only uses pay nothing.
 	scratch *scratch
-	// reconfigReady records that a Reconfigure pass has populated every
-	// layer's recvIn/recvOut. The first Reconfigure on a Config ships
-	// full pieces unconditionally (Configure does not retain received
-	// pieces), stores them, and sets this flag; later passes may then
-	// send and accept same-as-before markers.
-	reconfigReady bool
 	// poisoned is set when a Reconfigure fails mid-collective: some
 	// layers hold new routing state and others old, so every later use
 	// of the Config must error rather than silently misroute.

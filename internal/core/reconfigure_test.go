@@ -9,6 +9,7 @@ import (
 	"kylix/internal/memnet"
 	"kylix/internal/sparse"
 	"kylix/internal/topo"
+	"kylix/internal/trace"
 )
 
 // perturb returns a new workload generation where roughly half the
@@ -91,26 +92,38 @@ func TestReconfigureMatchesFreshConfigure(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			cfg, err := m.Configure(gens[0][r].in, gens[0][r].out)
+			// Start once from Configure and once from ConfigureReduce: a
+			// Config built by either entry point accepts markers on its
+			// first Reconfigure, which must leave the routing state
+			// exactly where a fresh Configure of the same sets puts it.
+			cfgConf, err := m.Configure(gens[0][r].in, gens[0][r].out)
 			if err != nil {
 				return err
 			}
-			// First Reconfigure ships full pieces (no stored state yet) and
-			// must leave the routing state exactly where Configure put it.
-			for gi, ws := range gens {
-				if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
-					return err
-				}
-				if got := cfg.Digest(); got != want[gi][r] {
-					t.Errorf("degrees %v rank %d gen %d: digest %#x, fresh configure %#x",
-						degrees, r, gi, got, want[gi][r])
-				}
-				res, err := cfg.Reduce(ws[r].vals)
-				if err != nil {
-					return err
-				}
-				if !almostEqual(res, wantRes[gi][r], 1e-4) {
-					t.Errorf("degrees %v rank %d gen %d: reduce mismatch after Reconfigure", degrees, r, gi)
+			cfgFused, _, err := m.ConfigureReduce(gens[0][r].in, gens[0][r].out, gens[0][r].vals)
+			if err != nil {
+				return err
+			}
+			for _, start := range []struct {
+				name string
+				cfg  *Config
+			}{{"Configure", cfgConf}, {"ConfigureReduce", cfgFused}} {
+				for gi, ws := range gens {
+					if err := start.cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
+						return err
+					}
+					if got := start.cfg.Digest(); got != want[gi][r] {
+						t.Errorf("degrees %v rank %d from %s gen %d: digest %#x, fresh configure %#x",
+							degrees, r, start.name, gi, got, want[gi][r])
+					}
+					res, err := start.cfg.Reduce(ws[r].vals)
+					if err != nil {
+						return err
+					}
+					if !almostEqual(res, wantRes[gi][r], 1e-4) {
+						t.Errorf("degrees %v rank %d from %s gen %d: reduce mismatch after Reconfigure",
+							degrees, r, start.name, gi)
+					}
 				}
 			}
 			return nil
@@ -142,40 +155,74 @@ func TestReconfigureWarmUnchangedKeepsScratch(t *testing.T) {
 		if _, err := cfg.Reduce(ws[r].vals); err != nil {
 			return err
 		}
-		// First pass over unchanged sets: populates the stored pieces, so
-		// it rebuilds every layer and must invalidate the arena.
-		if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
-			return err
-		}
-		if cfg.scratch != nil {
-			t.Errorf("rank %d: first Reconfigure kept the reduction arena", r)
-		}
-		if _, err := cfg.Reduce(ws[r].vals); err != nil {
-			return err
-		}
-		before := cfg.Digest()
-		// Warm pass: everything unchanged, so the arena must survive and
-		// the state must not move.
-		if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
-			return err
-		}
-		if cfg.scratch == nil {
-			t.Errorf("rank %d: warm unchanged Reconfigure dropped the reduction arena", r)
-		}
-		if got := cfg.Digest(); got != before {
-			t.Errorf("rank %d: warm unchanged Reconfigure moved the digest", r)
-		}
-		res, err := cfg.Reduce(ws[r].vals)
-		if err != nil {
-			return err
-		}
-		if !almostEqual(res, wantRes[r], 1e-4) {
-			t.Errorf("rank %d: reduce mismatch after warm Reconfigure", r)
+		// Every pass over unchanged sets, the first one included, ships
+		// only markers: the arena must survive and the state must not
+		// move.
+		for pass := 1; pass <= 2; pass++ {
+			before := cfg.Digest()
+			if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
+				return err
+			}
+			if cfg.scratch == nil {
+				t.Errorf("rank %d: unchanged Reconfigure %d dropped the reduction arena", r, pass)
+			}
+			if got := cfg.Digest(); got != before {
+				t.Errorf("rank %d: unchanged Reconfigure %d moved the digest", r, pass)
+			}
+			res, err := cfg.Reduce(ws[r].vals)
+			if err != nil {
+				return err
+			}
+			if !almostEqual(res, wantRes[r], 1e-4) {
+				t.Errorf("rank %d: reduce mismatch after unchanged Reconfigure %d", r, pass)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFirstReconfigureShipsOnlyMarkers checks the wire side of the
+// same property: an unchanged first Reconfigure after Configure ships a
+// two-byte marker for every piece and no keys at all.
+func TestFirstReconfigureShipsOnlyMarkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	bf := topo.MustNew([]int{4, 2})
+	ws := randWorkloads(rng, bf.M(), 300, 40, 1, true)
+	col := trace.NewCollector(bf.M())
+	n := memnet.New(bf.M(), memnet.WithRecorder(col))
+	defer n.Close()
+	cfgs := make([]*Config, bf.M())
+	err := memnet.Run(n, func(ep comm.Endpoint) error {
+		m, err := NewMachine(ep, bf, Options{})
+		if err != nil {
+			return err
+		}
+		cfgs[ep.Rank()], err = m.Configure(ws[ep.Rank()].in, ws[ep.Rank()].out)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Reset()
+	err = memnet.Run(n, func(ep comm.Endpoint) error {
+		return cfgs[ep.Rank()].Reconfigure(ws[ep.Rank()].in, ws[ep.Rank()].out)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs, bytes int64
+	for _, lt := range col.KindLayers(comm.KindConfig) {
+		msgs += lt.Msgs
+		bytes += lt.Bytes
+	}
+	if want := int64(bf.M() * (4 + 2)); msgs != want {
+		t.Fatalf("unchanged Reconfigure sent %d config messages, want %d", msgs, want)
+	}
+	if bytes != 2*msgs {
+		t.Fatalf("unchanged Reconfigure shipped %d bytes in %d messages, want %d (markers only)", bytes, msgs, 2*msgs)
 	}
 }
 

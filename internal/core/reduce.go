@@ -292,31 +292,15 @@ func (m *Machine) ConfigureReduce(inSet, outSet sparse.Set, outVals []float32) (
 			m.Rank(), len(outVals), len(outSet)*w)
 	}
 	round := m.nextRound()
-	cfg := &Config{mach: m, inSet: inSet, outSet: outSet,
-		layers: make([]layerState, m.bf.Layers())}
+	cfg := m.newConfig()
 	defer m.pool.End() // join any pass-scoped combine workers
 	tr := m.opts.Tracer
 	tr.CountRound()
 	outer := tr.Begin(comm.KindConfigReduce, 0)
 	defer func() { outer.Err = err; tr.End(&outer) }()
 
-	kind := comm.KindConfigReduce
-	inCur, outCur := inSet, outSet
-	cur := outVals
-	for layer := 1; layer <= m.bf.Layers(); layer++ {
-		ls := &cfg.layers[layer-1]
-		var acc []float32
-		sp := tr.Begin(comm.KindConfigReduce, layer)
-		err := m.configureLayer(ls, layer, round, inCur, outCur, cur, &acc, &kind, &sp)
-		sp.Err = err
-		tr.End(&sp)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: rank %d config+reduce layer %d: %w", m.Rank(), layer, err)
-		}
-		inCur, outCur = ls.inUnion, ls.outUnion
-		cur = acc
-	}
-	if err := cfg.finishBottom(inCur, outCur); err != nil {
+	cur, _, err := cfg.configure(comm.KindConfigReduce, round, false, inSet, outSet, outVals)
+	if err != nil {
 		return nil, nil, err
 	}
 	s := cfg.ensureScratch()

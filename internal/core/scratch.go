@@ -72,10 +72,10 @@ type scratch struct {
 	// vals[t] holds the values received from group slot t until they can
 	// be folded in canonical member order, and staged[t] records the
 	// receipt — the duplicate-delivery guard. A piece with no values may
-	// be a nil slice, so receipt is the flag, never the slice. Both are
-	// the machine's configuration-piece staging (cfgScratch.valP/seen):
-	// one goroutine per machine, passes never overlap, and each layer
-	// clears the flags before use.
+	// be a nil slice, so receipt is the flag, never the slice. Both live
+	// in the machine scratch (cfgScratch.vals/seen): one goroutine per
+	// machine, passes never overlap, and each layer clears the flags
+	// before use.
 	vals   [][]float32
 	staged []bool
 	// groups[i][t] is the singleton group {layers[i].group[t]} — the
@@ -113,7 +113,7 @@ func (c *Config) ensureScratch() *scratch {
 	}
 	w := c.mach.opts.Width
 	cs := c.mach.ensureCfgScratch()
-	s := &scratch{vals: cs.valP, staged: cs.seen, groups: cs.groups}
+	s := &scratch{vals: cs.vals, staged: cs.seen, groups: cs.groups}
 	if c.mach.opts.Quant != sparse.QuantOff {
 		s.land = make([][][]float32, len(c.layers))
 		for i := range c.layers {
@@ -184,32 +184,47 @@ func (c *Config) buildGen(s *scratch, gen int) {
 }
 
 // cfgScratch is the machine-level scratch of the configuration pass:
-// everything transient that configureLayer used to allocate per call
-// but whose shape depends only on the topology (receive groups, piece
-// staging, union arenas). One instance serves every Configure /
-// ConfigureReduce / Reconfigure on the Machine — machines are
-// single-goroutine by contract, and nothing here survives a pass except
-// as reusable capacity.
+// everything transient whose shape depends only on the topology
+// (receive groups, piece staging, union arenas). One instance serves
+// every Configure / ConfigureReduce / Reconfigure on the Machine —
+// machines are single-goroutine by contract, and nothing here survives
+// a pass except as reusable capacity.
 type cfgScratch struct {
 	// groupOf[layer-1] is this machine's layer group (topology-fixed;
 	// retained read-only by every Config's layerStates).
 	groupOf [][]int
 	// groups[layer-1][t] is the singleton receive group {groupOf[t]}.
 	groups [][][]int
-	// inP/outP/valP/seen stage one layer's received configuration
-	// pieces, indexed by group slot; sized to the widest layer. valP and
-	// seen double as the reduction's arrival-order staging (see
-	// scratch.vals).
+	// got/seen stage one layer's received configuration pieces, indexed
+	// by group slot; inP/outP are the union inputs built from them (with
+	// unchanged markers rebuilt). All are sized to the widest layer.
+	got       []*comm.ConfigPiece
 	inP, outP []sparse.Set
-	valP      [][]float32
 	seen      []bool
+	// vals is the reduction's arrival-order value staging (see
+	// scratch.vals), which shares seen as its receipt flags.
+	vals [][]float32
 	// uni is the tree-union arena; unions are cloned out of it into the
 	// retained layerState, so only the final deduplicated keys are paid
 	// for per configuration.
 	uni sparse.UnionScratch
-	// offs stages candidate split offsets during Reconfigure's
-	// compare-before-commit step (2*(maxDeg+1) entries).
+	// offs stages a layer's candidate split offsets, which are retained
+	// (copied) only when they differ from the previous pass's
+	// (2*(maxDeg+1) entries).
 	offs []int32
+	// keys holds the pieces rebuilt for unchanged markers in a layer
+	// that must re-merge; it is reset per layer and keeps its capacity.
+	keys sparse.Set
+}
+
+// rebuild appends to cs.keys the piece whose union positions are pos —
+// union[pos[i]] for each i — and returns it.
+func (cs *cfgScratch) rebuild(union sparse.Set, pos []int32) sparse.Set {
+	start := len(cs.keys)
+	for _, p := range pos {
+		cs.keys = append(cs.keys, union[p])
+	}
+	return cs.keys[start:len(cs.keys):len(cs.keys)]
 }
 
 // ensureCfgScratch builds the machine's configuration scratch on first
@@ -235,9 +250,10 @@ func (m *Machine) ensureCfgScratch() *cfgScratch {
 			cs.groups[layer-1][t] = group[t : t+1 : t+1]
 		}
 	}
+	cs.got = make([]*comm.ConfigPiece, maxDeg)
 	cs.inP = make([]sparse.Set, maxDeg)
 	cs.outP = make([]sparse.Set, maxDeg)
-	cs.valP = make([][]float32, maxDeg)
+	cs.vals = make([][]float32, maxDeg)
 	cs.seen = make([]bool, maxDeg)
 	cs.offs = make([]int32, 2*(maxDeg+1))
 	m.cfg = cs

@@ -43,9 +43,9 @@ func (m *Machine) TreeAllreduce(inSet, outSet sparse.Set, outVals []float32) ([]
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: tree recv from child %d: %w", child, err)
 		}
-		kv, ok := p.(*comm.KeysVals)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: tree: unexpected payload %T", p)
+		kv, err := m.treePiece(p)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: tree piece from child %d: %w", child, err)
 		}
 		union, maps := sparse.UnionWithMaps([]sparse.Set{keys, kv.Keys})
 		acc := make([]float32, len(union)*w)
@@ -69,9 +69,9 @@ func (m *Machine) TreeAllreduce(inSet, outSet sparse.Set, outVals []float32) ([]
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: tree recv broadcast: %w", err)
 		}
-		kv, ok := p.(*comm.KeysVals)
-		if !ok {
-			return nil, 0, fmt.Errorf("core: tree: unexpected broadcast payload %T", p)
+		kv, err := m.treePiece(p)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: tree broadcast: %w", err)
 		}
 		keys, vals = kv.Keys, kv.Vals
 		if len(keys) > maxUnion {
@@ -96,6 +96,20 @@ func (m *Machine) TreeAllreduce(inSet, outSet sparse.Set, outVals []float32) ([]
 	inVals := make([]float32, len(inSet)*w)
 	sparse.GatherInto(inVals, bm, vals, w, m.opts.Reducer.Identity())
 	return inVals, maxUnion, nil
+}
+
+// treePiece checks that a received tree message is a KeysVals carrying
+// Width values per key: the fold and the final gather index its values
+// by key position.
+func (m *Machine) treePiece(p comm.Payload) (*comm.KeysVals, error) {
+	kv, ok := p.(*comm.KeysVals)
+	if !ok {
+		return nil, fmt.Errorf("unexpected payload %T", p)
+	}
+	if want := len(kv.Keys) * m.opts.Width; len(kv.Vals) != want {
+		return nil, fmt.Errorf("%d values, want %d", len(kv.Vals), want)
+	}
+	return kv, nil
 }
 
 // treeLevel returns the depth of a rank in the binary heap layout

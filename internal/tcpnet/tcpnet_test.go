@@ -57,12 +57,13 @@ func TestAllPayloadTypesSurviveWire(t *testing.T) {
 	nodes := testCluster(t, 2, Options{})
 	keys := sparse.MustNewSet([]int32{3, 1, 4, 159})
 	payloads := []comm.Payload{
-		&comm.Keys{Keys: keys},
 		&comm.Floats{Vals: []float32{2.5, -1}},
 		&comm.KeysVals{Keys: keys, Vals: []float32{1, 2, 3, 4}},
 		&comm.Bytes{Data: []byte{0, 255, 7}},
-		&comm.InOut{In: keys, Out: sparse.MustNewSet([]int32{9})},
-		&comm.Combined{In: keys, Out: keys, Vals: []float32{8, 8, 8, 8}},
+		&comm.ConfigPiece{In: keys, Out: sparse.MustNewSet([]int32{9})},
+		&comm.ConfigPiece{In: keys, Out: keys, HasVals: true, Vals: []float32{8, 8, 8, 8}},
+		&comm.ConfigPiece{In: keys, HasVals: true},
+		&comm.ConfigPiece{InSame: true, OutSame: true},
 	}
 	for i, p := range payloads {
 		tag := comm.MakeTag(comm.KindApp, 1, uint32(i))

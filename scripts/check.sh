@@ -7,8 +7,8 @@
 #   scripts/check.sh vet race   # just those lanes
 #
 # Lanes: vet (standard plus the kylix-vet invariant analyzers), build,
-# test, race (the concurrency-critical packages and the stream
-# lifecycle under the race detector), soak (the elastic-membership and
+# test, race (the concurrency-critical packages, the stream lifecycle
+# and the reconfigure chaos soak under the race detector), soak (the elastic-membership and
 # multi-tenant stream chaos soaks on both transports) and benchgate
 # (the warm-Reduce allocation gate). GO selects the go command.
 set -eu
@@ -40,8 +40,8 @@ lane_race() {
 	echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, trace, obs, membership, par, stream)"
 	$GO test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/trace/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
 
-	echo "== go test -race (stream lifecycle: concurrent tenants, close hammer)"
-	$GO test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose' -count=1 -timeout 600s .
+	echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; incremental reconfiguration under chaos)"
+	$GO test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestReconfigureChaosSoak' -count=1 -timeout 600s .
 }
 
 lane_soak() {
