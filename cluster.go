@@ -110,7 +110,7 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 		}
 		c.fabric = fab
 	}
-	var rec comm.Recorder = comm.NopRecorder{}
+	var rec comm.Recorder // nil: not tracing
 	if cfg.trace {
 		c.collector = trace.NewCollector(capacity)
 		rec = c.collector

@@ -169,7 +169,7 @@ func AblationFusedConfigReduce(sc Scale) (*Table, error) {
 				bytes += lt.Bytes
 			}
 		}
-		rep := netsim.Estimate(col, model, model.Cores)
+		rep := netsim.Estimate(col.Machines(), col.Layers(), model, model.Cores)
 		t.Rows = append(t.Rows, []string{
 			mode.name, fi(msgs), fmtMB(bytes), f6(rep.TotalSec()),
 		})

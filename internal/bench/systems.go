@@ -98,7 +98,7 @@ func runPagerank(ds pagerankDataset, degrees []int, iters int) (*pagerankRun, er
 // is excluded, as in the paper's per-iteration numbers) plus the local
 // SpMV compute.
 func perIterSeconds(run *pagerankRun, model netsim.Model, iters int) (compute, comm float64) {
-	rep := netsim.Estimate(run.col, model, model.Cores)
+	rep := netsim.Estimate(run.col.Machines(), run.col.Layers(), model, model.Cores)
 	comm = rep.ReduceSec / float64(iters)
 	compute = model.ComputeTime(int64(run.maxShardNNZ))
 	return compute, comm

@@ -43,7 +43,7 @@ func Figure6(sc Scale) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", p.name, tc.name, err)
 			}
-			reports[i] = netsim.Estimate(res.col, model, model.Cores)
+			reports[i] = netsim.Estimate(res.col.Machines(), res.col.Layers(), model, model.Cores)
 			totals[i] = reports[i].TotalSec()
 		}
 		for i, tc := range cases {
@@ -78,7 +78,7 @@ func Figure7(sc Scale) (*Table, error) {
 		Header: []string{"threads", "configSec", "reduceSec", "totalSec"},
 	}
 	for _, threads := range []int{1, 2, 4, 8, 16, 32} {
-		rep := netsim.Estimate(res.col, model, threads)
+		rep := netsim.Estimate(res.col.Machines(), res.col.Layers(), model, threads)
 		t.Rows = append(t.Rows, []string{
 			fi(int64(threads)), f6(rep.ConfigSec), f6(rep.ReduceSec), f6(rep.TotalSec()),
 		})
@@ -126,7 +126,7 @@ func TableI(sc Scale) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		rep := netsim.Estimate(res.col, model, model.Cores)
+		rep := netsim.Estimate(res.col.Machines(), res.col.Layers(), model, model.Cores)
 		t.Rows = append(t.Rows, []string{
 			topo.MustNew(degrees).String(), fi(int64(repl)),
 			fi(int64(len(w.sets) * repl)), fi(int64(len(dead))),

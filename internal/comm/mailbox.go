@@ -227,15 +227,11 @@ func (m *Mailbox) waitLocked(ws *waitState) bool {
 
 // observeRecv reports a finished receive to the observer, outside the
 // mailbox lock. No-op without an observer (one nil check).
-func (m *Mailbox) observeRecv(from int, tag Tag, p Payload, ws *waitState, err error) {
+func (m *Mailbox) observeRecv(from int, tag Tag, ws *waitState, err error) {
 	if m.obs == nil {
 		return
 	}
-	bytes := 0
-	if p != nil {
-		bytes = p.WireSize()
-	}
-	m.obs.ObserveRecv(from, tag, bytes, ws.elapsed(), err)
+	m.obs.ObserveRecv(from, tag, ws.elapsed(), err)
 }
 
 // startWatchdogLocked launches the per-Mailbox watchdog that broadcasts
@@ -276,17 +272,17 @@ func (m *Mailbox) Recv(from int, tag Tag) (Payload, error) {
 	for {
 		if m.closed {
 			m.mu.Unlock()
-			m.observeRecv(from, tag, nil, &ws, ErrClosed)
+			m.observeRecv(from, tag, &ws, ErrClosed)
 			return nil, ErrClosed
 		}
 		if p, ok := m.popLocked(mailKey{from, tag}); ok {
 			m.mu.Unlock()
-			m.observeRecv(from, tag, p, &ws, nil)
+			m.observeRecv(from, tag, &ws, nil)
 			return p, nil
 		}
 		if m.streamDeadLocked(tag) {
 			m.mu.Unlock()
-			m.observeRecv(from, tag, nil, &ws, ErrStreamClosed)
+			m.observeRecv(from, tag, &ws, ErrStreamClosed)
 			return nil, ErrStreamClosed
 		}
 		if !m.waitLocked(&ws) {
@@ -296,7 +292,7 @@ func (m *Mailbox) Recv(from int, tag Tag) (Payload, error) {
 				From:    []int{from},
 				Elapsed: ws.elapsed(),
 			}
-			m.observeRecv(from, tag, nil, &ws, err)
+			m.observeRecv(from, tag, &ws, err)
 			return nil, err
 		}
 	}
@@ -314,20 +310,20 @@ func (m *Mailbox) RecvAny(froms []int, tag Tag) (int, Payload, error) {
 	for {
 		if m.closed {
 			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrClosed)
+			m.observeRecv(-1, tag, &ws, ErrClosed)
 			return 0, nil, ErrClosed
 		}
 		for _, from := range froms {
 			if p, ok := m.popLocked(mailKey{from, tag}); ok {
 				m.cancelLocked(froms, from, tag)
 				m.mu.Unlock()
-				m.observeRecv(from, tag, p, &ws, nil)
+				m.observeRecv(from, tag, &ws, nil)
 				return from, p, nil
 			}
 		}
 		if m.streamDeadLocked(tag) {
 			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrStreamClosed)
+			m.observeRecv(-1, tag, &ws, ErrStreamClosed)
 			return 0, nil, ErrStreamClosed
 		}
 		if !m.waitLocked(&ws) {
@@ -337,7 +333,7 @@ func (m *Mailbox) RecvAny(froms []int, tag Tag) (int, Payload, error) {
 				From:    append([]int(nil), froms...),
 				Elapsed: ws.elapsed(),
 			}
-			m.observeRecv(-1, tag, nil, &ws, err)
+			m.observeRecv(-1, tag, &ws, err)
 			return 0, nil, err
 		}
 	}
@@ -381,7 +377,7 @@ func (m *Mailbox) RecvGroup(groups [][]int, tag Tag) (int, Payload, error) {
 	for {
 		if m.closed {
 			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrClosed)
+			m.observeRecv(-1, tag, &ws, ErrClosed)
 			return 0, nil, ErrClosed
 		}
 		if gi, from, p, ok := m.popGroupLocked(groups, tag); ok {
@@ -389,7 +385,7 @@ func (m *Mailbox) RecvGroup(groups [][]int, tag Tag) (int, Payload, error) {
 				m.cancelLocked(groups[gi], from, tag)
 			}
 			m.mu.Unlock()
-			m.observeRecv(from, tag, p, &ws, nil)
+			m.observeRecv(from, tag, &ws, nil)
 			if m.obs != nil {
 				m.obs.ObserveRecvGroup(tag, ws.elapsed())
 			}
@@ -397,7 +393,7 @@ func (m *Mailbox) RecvGroup(groups [][]int, tag Tag) (int, Payload, error) {
 		}
 		if m.streamDeadLocked(tag) {
 			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrStreamClosed)
+			m.observeRecv(-1, tag, &ws, ErrStreamClosed)
 			return 0, nil, ErrStreamClosed
 		}
 		if !m.waitLocked(&ws) {
@@ -411,7 +407,7 @@ func (m *Mailbox) RecvGroup(groups [][]int, tag Tag) (int, Payload, error) {
 				From:    froms,
 				Elapsed: ws.elapsed(),
 			}
-			m.observeRecv(-1, tag, nil, &ws, err)
+			m.observeRecv(-1, tag, &ws, err)
 			return 0, nil, err
 		}
 	}

@@ -4,41 +4,29 @@ import "time"
 
 // RecvObserver observes completed receives for the observability layer.
 // Transports call ObserveRecv once per finished matched receive — on
-// success with the payload's wire size and the time the receiver spent
-// blocked, on failure with the error (a timed-out receive carries its
-// *TimeoutError, which observers turn into an error span). RecvGroup
-// receives additionally report their wait through ObserveRecvGroup,
-// the hot path's arrival-order primitive. Observers are called outside
-// transport locks and must be safe for concurrent use; implementations
-// must not allocate on the success path (the warm Reduce is gated at
-// 0 allocs/op with observation enabled).
+// success with the time the receiver spent blocked, on failure with the
+// error (a timed-out receive carries its *TimeoutError, which observers
+// turn into an error span). RecvGroup receives additionally report their
+// wait through ObserveRecvGroup, the hot path's arrival-order primitive.
+// Receives are not sized here: the bytes a pass consumed are its spans'
+// BytesIn. Observers are called outside transport locks and must be safe
+// for concurrent use; implementations must not allocate on the success
+// path (the warm Reduce is gated at 0 allocs/op with observation
+// enabled).
 type RecvObserver interface {
-	ObserveRecv(from int, tag Tag, bytes int, wait time.Duration, err error)
+	ObserveRecv(from int, tag Tag, wait time.Duration, err error)
 	ObserveRecvGroup(tag Tag, wait time.Duration)
 }
 
-// Recorder observes transport sends for traffic accounting. Transports
-// call Record once per message with the payload's wire size; recording
-// happens at send time, so traffic toward dead machines is charged to
-// the sender exactly as a physical NIC would be.
+// Recorder observes transport sends for traffic accounting: it is the
+// byte source of traffic reports and the netsim cost model, since only
+// the transport sees every physical message (replica fan-out, injected
+// duplicates, control planes) and its receiver. Transports call Record
+// once per message with the payload's wire size and its uncompressed
+// size (RawWireSize). Recording happens at send time, so traffic toward
+// dead machines is charged to the sender exactly as a physical NIC
+// would be. A nil Recorder means "not tracing": the transport then
+// sizes no payload for accounting.
 type Recorder interface {
-	Record(from, to int, tag Tag, bytes int)
+	Record(from, to int, tag Tag, wireBytes, rawBytes int)
 }
-
-// RawRecorder is an optional Recorder extension for transports that
-// also know a payload's uncompressed size (RawWireSize). Transports
-// prefer RecordRaw when the recorder implements it, so compression
-// ratios surface in traffic reports without a second accounting pass.
-type RawRecorder interface {
-	Recorder
-	RecordRaw(from, to int, tag Tag, wireBytes, rawBytes int)
-}
-
-// NopRecorder discards all samples. Transports special-case it: when
-// the configured recorder is a NopRecorder they skip the WireSize call
-// entirely, so untraced runs never pay for encoding payloads that
-// in-memory delivery would not otherwise serialize.
-type NopRecorder struct{}
-
-// Record implements Recorder.
-func (NopRecorder) Record(from, to int, tag Tag, bytes int) {}

@@ -120,11 +120,8 @@ func (c *Config) configure(kind comm.Kind, round uint32, incremental bool, inSet
 // reduction: out-pieces carry their slice of vals, and acc is the
 // combined layer result. kept reports that the layer reused both its
 // send split and its unions/maps. The caller's span sp accumulates the
-// layer's wire bytes and group size.
-//
-// Byte accounting is gated on the tracer being live: sizing a
-// configuration payload runs the index codec, which is worth paying for
-// observability but not for a span that will be discarded.
+// layer's wire bytes (sized only when the tracer is live: sizing a
+// configuration payload runs the index codec) and group size.
 func (c *Config) configureLayer(i int, round uint32, kind comm.Kind, old *prevLayer, inCur, outCur sparse.Set, vals []float32, sp *obs.Span) (acc []float32, kept bool, err error) {
 	m := c.mach
 	cs := m.cfg
@@ -138,7 +135,6 @@ func (c *Config) configureLayer(i int, round uint32, kind comm.Kind, old *prevLa
 	fused := kind == comm.KindConfigReduce
 	w := m.opts.Width
 	tr := m.opts.Tracer
-	obsOn := tr.Enabled()
 
 	// Whole-set fast path: when this layer's input sets are the previous
 	// ones (O(1) when they alias, which is what an unchanged upper layer
@@ -187,11 +183,7 @@ func (c *Config) configureLayer(i int, round uint32, kind comm.Kind, old *prevLa
 				p.Vals = vals[int(outOffs[t])*w : int(outOffs[t+1])*w]
 			}
 		}
-		if obsOn {
-			enc := p.WireSize()
-			sp.BytesOut += int64(enc)
-			tr.CountConfigBytes(int64(p.RawWireSize()), int64(enc))
-		}
+		tr.Sent(sp, p)
 		if err := m.ep.Send(member, tag, p); err != nil {
 			return nil, false, err
 		}
@@ -236,9 +228,7 @@ func (c *Config) configureLayer(i int, round uint32, kind comm.Kind, old *prevLa
 		if fused && len(q.Vals) != nOut*w {
 			return nil, false, fmt.Errorf("piece from %d: %d values, want %d", from, len(q.Vals), nOut*w)
 		}
-		if obsOn {
-			sp.BytesIn += int64(p.WireSize())
-		}
+		tr.Received(sp, p)
 		recvSame = recvSame && q.InSame && q.OutSame
 		got[t], seen[t] = q, true
 		received++

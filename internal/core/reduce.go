@@ -90,9 +90,7 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, s *scratch, g 
 
 	for t, member := range ls.group {
 		p := m.encode(&g.scatter[i][t], cur[int(ls.outOffsets[t])*w:int(ls.outOffsets[t+1])*w])
-		n := int64(p.WireSize())
-		sp.BytesOut += n
-		tr.CountValueBytes(int64(comm.RawWireSize(p)), n)
+		tr.Sent(&sp, p)
 		if err := m.ep.Send(member, tag, p); err != nil {
 			return nil, err
 		}
@@ -125,7 +123,7 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, s *scratch, g 
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d: %w", m.Rank(), layer, from, err)
 		}
-		sp.BytesIn += int64(p.WireSize())
+		tr.Received(&sp, p)
 		vals[t], staged[t] = v, true
 		received++
 		for folded < len(ls.group) && staged[folded] {
@@ -190,9 +188,7 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, s *scratch, 
 		v := &g.gather[i][t]
 		tr.CountCombineShards(m.pool.GatherInto(v.raw.Vals, ls.inMaps[t], inVals, w, 0))
 		p := m.encode(v, v.raw.Vals)
-		n := int64(p.WireSize())
-		sp.BytesOut += n
-		tr.CountValueBytes(int64(comm.RawWireSize(p)), n)
+		tr.Sent(&sp, p)
 		if err := m.ep.Send(member, tag, p); err != nil {
 			return nil, err
 		}
@@ -222,7 +218,7 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, s *scratch, 
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d gather layer %d: segment from %d: %w", m.Rank(), layer, from, err)
 		}
-		sp.BytesIn += int64(p.WireSize())
+		tr.Received(&sp, p)
 		copy(seg, v)
 		seen[t] = true
 		received++

@@ -49,8 +49,11 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Estimate converts a recorded traffic trace into modelled cluster time
-// under the model with the given per-node thread count. Per layer, the
+// Estimate converts one snapshot of recorded traffic (a Collector's
+// Layers over nodes machines) into modelled cluster time under the model
+// with the given per-node thread count. The report's Layers line up
+// index for index with the input, so callers join the two from the same
+// snapshot. Per layer, the
 // modelled time is the average live node's wire traffic pushed through
 // the NodePhaseTime cost (hash partitioning balances nodes, so mean and
 // max coincide up to noise; self-sends move no wire bytes and are
@@ -65,17 +68,16 @@ func (r Report) String() string {
 // lower layers compress best). The codec's real saving is reported
 // separately, as the RawBytes/Bytes ratio in TrafficReport and the
 // kylix-bench compression table.
-func Estimate(col *trace.Collector, m Model, threads int) Report {
-	nodes := int64(col.Machines())
+func Estimate(nodes int, layers []trace.LayerTraffic, m Model, threads int) Report {
 	if nodes == 0 {
 		return Report{}
 	}
 	var rep Report
-	for _, lt := range col.Layers() {
+	for _, lt := range layers {
 		wireMsgs := lt.Msgs - lt.SelfMsgs
 		wireBytes := lt.RawBytes - lt.SelfRawBytes
-		perNodeMsgs := (wireMsgs + nodes - 1) / nodes
-		perNodeBytes := wireBytes / nodes
+		perNodeMsgs := (wireMsgs + int64(nodes) - 1) / int64(nodes)
+		perNodeBytes := wireBytes / int64(nodes)
 		sec := m.NodePhaseTime(perNodeMsgs, perNodeBytes, threads)
 		var msgBytes float64
 		if wireMsgs > 0 {

@@ -107,17 +107,22 @@ func TestPacketSweep(t *testing.T) {
 	}
 }
 
+// estimate models one snapshot of col.
+func estimate(col *trace.Collector, m Model, threads int) Report {
+	return Estimate(col.Machines(), col.Layers(), m, threads)
+}
+
 func TestEstimateSeparatesPhases(t *testing.T) {
 	col := trace.NewCollector(4)
 	// Config traffic at layer 1, reduce at layers 1-2, gather at 1.
 	for from := 0; from < 4; from++ {
-		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20)
-		col.Record(from, from, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20) // self: free
-		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindReduce, 1, 0), 1<<20)
-		col.Record(from, (from+2)%4, comm.MakeTag(comm.KindReduce, 2, 0), 1<<19)
-		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindGather, 1, 0), 1<<19)
+		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20, 1<<20)
+		col.Record(from, from, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20, 1<<20) // self: free
+		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindReduce, 1, 0), 1<<20, 1<<20)
+		col.Record(from, (from+2)%4, comm.MakeTag(comm.KindReduce, 2, 0), 1<<19, 1<<19)
+		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindGather, 1, 0), 1<<19, 1<<19)
 	}
-	rep := Estimate(col, EC2(), 16)
+	rep := estimate(col, EC2(), 16)
 	if rep.ConfigSec <= 0 || rep.ReduceSec <= 0 {
 		t.Fatalf("phases missing: %+v", rep)
 	}
@@ -145,13 +150,13 @@ func TestEstimateSmallPacketsCostMore(t *testing.T) {
 	mkCol := func(msgs int, msgSize int) *trace.Collector {
 		col := trace.NewCollector(2)
 		for i := 0; i < msgs; i++ {
-			col.Record(0, 1, comm.MakeTag(comm.KindReduce, 1, uint32(i)), msgSize)
+			col.Record(0, 1, comm.MakeTag(comm.KindReduce, 1, uint32(i)), msgSize, msgSize)
 		}
 		return col
 	}
 	m := EC2()
-	small := Estimate(mkCol(64, 1<<18), m, 1)
-	large := Estimate(mkCol(4, 1<<22), m, 1)
+	small := estimate(mkCol(64, 1<<18), m, 1)
+	large := estimate(mkCol(4, 1<<22), m, 1)
 	if small.ReduceSec <= large.ReduceSec {
 		t.Fatalf("small packets %.4fs should cost more than large %.4fs",
 			small.ReduceSec, large.ReduceSec)
@@ -160,15 +165,15 @@ func TestEstimateSmallPacketsCostMore(t *testing.T) {
 
 func TestEstimateFusedConfigReduceCountsAsConfig(t *testing.T) {
 	col := trace.NewCollector(2)
-	col.Record(0, 1, comm.MakeTag(comm.KindConfigReduce, 1, 0), 1<<20)
-	rep := Estimate(col, EC2(), 4)
+	col.Record(0, 1, comm.MakeTag(comm.KindConfigReduce, 1, 0), 1<<20, 1<<20)
+	rep := estimate(col, EC2(), 4)
 	if rep.ConfigSec <= 0 || rep.ReduceSec != 0 {
 		t.Fatalf("fused traffic misclassified: %+v", rep)
 	}
 }
 
 func TestEstimateEmptyCollector(t *testing.T) {
-	rep := Estimate(trace.NewCollector(0), EC2(), 4)
+	rep := estimate(trace.NewCollector(0), EC2(), 4)
 	if rep.TotalSec() != 0 || len(rep.Layers) != 0 {
 		t.Fatal("empty trace should produce empty report")
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"kylix/internal/comm"
+	"kylix/internal/sparse"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -144,11 +145,51 @@ func TestNilObservatoryAndTracerAreNoOps(t *testing.T) {
 func TestLayerByteCountersFromSpans(t *testing.T) {
 	o := New(2, 0)
 	tr := o.Node(1)
-	sp := tr.Begin(comm.KindReduce, 2)
-	sp.BytesOut = 1234
-	tr.End(&sp)
-	if got := o.Registry().Counter("bytes_reduce_L2").Value(); got != 1234 {
-		t.Fatalf("bytes_reduce_L2 = %d, want 1234", got)
+	// Each layer span feeds its per-(kind, layer) counter and its plane's
+	// encoded/raw pair; BytesIn feeds recv_bytes.
+	for _, in := range []Span{
+		{Kind: comm.KindReduce, Layer: 2, BytesOut: 1234, RawOut: 2468, BytesIn: 100},
+		{Kind: comm.KindGather, Layer: 1, BytesOut: 66, RawOut: 132, BytesIn: 10},
+		{Kind: comm.KindConfig, Layer: 1, BytesOut: 500, RawOut: 4000, BytesIn: 1},
+		{Kind: comm.KindConfigReduce, Layer: 2, BytesOut: 70, RawOut: 90},
+	} {
+		sp := tr.Begin(in.Kind, in.Layer)
+		sp.BytesOut, sp.RawOut, sp.BytesIn = in.BytesOut, in.RawOut, in.BytesIn
+		tr.End(&sp)
+	}
+	for name, want := range map[string]int64{
+		"bytes_reduce_L2":        1234,
+		"bytes_gather_L1":        66,
+		"bytes_config_L1":        500,
+		"bytes_config+reduce_L2": 70,
+		"values_bytes_encoded":   1300,
+		"values_bytes_raw":       2600,
+		"config_bytes_encoded":   570,
+		"config_bytes_raw":       4090,
+		"recv_bytes":             111,
+	} {
+		if got := o.Registry().Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	// Sent/Received size payloads into the span only on a live tracer.
+	p := &comm.QVals{Mode: sparse.QuantFP16, N: 4, Data: make([]byte, 8)}
+	sp := tr.Begin(comm.KindGather, 3)
+	tr.Sent(&sp, p)
+	tr.Received(&sp, p)
+	if sp.BytesOut != int64(p.WireSize()) || sp.RawOut != int64(comm.RawWireSize(p)) || sp.BytesIn != int64(p.WireSize()) {
+		t.Fatalf("sized span = %+v, want out %d raw %d in %d", sp, p.WireSize(), comm.RawWireSize(p), p.WireSize())
+	}
+	if sp.RawOut == sp.BytesOut {
+		t.Fatal("a quantized payload's raw size must differ from its wire size")
+	}
+	var off *Tracer
+	var zero Span
+	off.Sent(&zero, p)
+	off.Received(&zero, p)
+	if zero != (Span{}) {
+		t.Fatalf("nil tracer sized a span: %+v", zero)
 	}
 	// Whole-pass spans (layer 0) with no bytes must not create counters.
 	outer := tr.Begin(comm.KindReduce, 0)
@@ -162,18 +203,21 @@ func TestRecvObserverCountsSuccessAndTimeout(t *testing.T) {
 	o := New(2, 0)
 	ro := o.RecvObserver(0)
 	tag := comm.MakeTag(comm.KindReduce, 3, 7)
-	ro.ObserveRecv(1, tag, 256, 2*time.Millisecond, nil)
+	ro.ObserveRecv(1, tag, 2*time.Millisecond, nil)
 	ro.ObserveRecvGroup(tag, time.Millisecond)
 	reg := o.Registry()
-	if reg.Counter("recv_msgs").Value() != 1 || reg.Counter("recv_bytes").Value() != 256 {
+	if reg.Counter("recv_msgs").Value() != 1 {
 		t.Fatal("success receive not counted")
+	}
+	if reg.Counter("recv_bytes").Value() != 0 {
+		t.Fatal("received bytes come from spans, not the receive observer")
 	}
 	if reg.Histogram("recv_wait_ns").Count() != 1 || reg.Histogram("recv_group_wait_ns").Count() != 1 {
 		t.Fatal("wait histograms not fed")
 	}
 
 	terr := &comm.TimeoutError{Tag: tag, From: []int{1}, Elapsed: 50 * time.Millisecond}
-	ro.ObserveRecv(1, tag, 0, terr.Elapsed, terr)
+	ro.ObserveRecv(1, tag, terr.Elapsed, terr)
 	if reg.Counter("recv_timeouts").Value() != 1 {
 		t.Fatal("timeout not counted")
 	}
@@ -198,7 +242,7 @@ func TestRecvObserverCountsSuccessAndTimeout(t *testing.T) {
 	}
 
 	// Non-timeout errors (e.g. closed transport) are not error spans.
-	ro.ObserveRecv(-1, tag, 0, 0, errors.New("closed"))
+	ro.ObserveRecv(-1, tag, 0, errors.New("closed"))
 	if reg.Counter("recv_timeouts").Value() != 1 {
 		t.Fatal("non-timeout error counted as timeout")
 	}
@@ -383,7 +427,7 @@ func TestConcurrentRecordingIsRaceFree(t *testing.T) {
 				sp := tr.Begin(comm.KindReduce, 1)
 				sp.BytesOut = 10
 				tr.End(&sp)
-				ro.ObserveRecv(0, tag, 10, time.Microsecond, nil)
+				ro.ObserveRecv(0, tag, time.Microsecond, nil)
 				o.Transport().DedupHits.Inc()
 			}
 		}(node)

@@ -33,28 +33,29 @@ type Observatory struct {
 	arenaFlips    *Counter
 	combineShards *Counter
 	spansDropped  *Counter
-	recvMsgs      *Counter
-	recvBytes     *Counter
+	recvMsgs      *Counter // every matched receive, control plane included
 	recvTimeouts  *Counter
 	recvWait      *Histogram
 	groupWait     *Histogram
 	faultCounts   map[string]*Counter
 
-	// Configuration-pass accounting: wire bytes in the compressed
-	// encoding vs. what the raw 8-byte-per-key format would have cost,
-	// and the incremental-reconfigure layer outcomes (fast = the layer
-	// reused its previous unions and maps; full = it recomputed them).
-	configBytesEnc    *Counter
-	configBytesRaw    *Counter
+	// Incremental-reconfigure layer outcomes (fast = the layer reused
+	// its previous unions and maps; full = it recomputed them).
 	reconfigFastLayer *Counter
 	reconfigFullLayer *Counter
 
-	// Value-plane accounting, the reduce/gather counterpart of the
-	// config-byte pair: wire bytes of every value block shipped (in
-	// whatever encoding quantization selected) vs. what the raw
-	// 4-byte-per-float32 format would have cost. With quantization off
-	// the two advance in lockstep; their ratio is the wire-level value
+	// Byte counters, all derived from layer spans as they are recorded
+	// (Tracer.record), so they agree with the spans to the byte:
+	// recvBytes is the BytesIn that collective-pass layers consumed;
+	// the config pair is the wire bytes of configuration pieces (fused
+	// values included) vs. what the raw 8-byte-per-key format would have
+	// cost; the values pair is the same for reduce/gather value blocks
+	// vs. raw 4-byte float32s. With quantization off the values pair
+	// advances in lockstep; its ratio is the wire-level value
 	// compression.
+	recvBytes      *Counter
+	configBytesEnc *Counter
+	configBytesRaw *Counter
 	valuesBytesEnc *Counter
 	valuesBytesRaw *Counter
 
@@ -178,9 +179,10 @@ func (o *Observatory) RecvObserver(rank int) comm.RecvObserver {
 	return &recvObserver{o: o, tr: o.Node(rank)}
 }
 
-// recvObserver implements comm.RecvObserver for one node: byte/message
-// counters, wait-time histograms, and error spans for timed-out
-// receives (the TimeoutError propagation contract).
+// recvObserver implements comm.RecvObserver for one node: the message
+// counter, wait-time histograms, and error spans for timed-out receives
+// (the TimeoutError propagation contract). Received bytes come from
+// spans, not from here.
 type recvObserver struct {
 	o  *Observatory
 	tr *Tracer
@@ -190,11 +192,10 @@ type recvObserver struct {
 // success, timeout accounting and an error span on failure.
 //
 //kylix:hotpath
-func (r *recvObserver) ObserveRecv(from int, tag comm.Tag, bytes int, wait time.Duration, err error) {
+func (r *recvObserver) ObserveRecv(from int, tag comm.Tag, wait time.Duration, err error) {
 	o := r.o
 	if err == nil {
 		o.recvMsgs.Inc()
-		o.recvBytes.Add(int64(bytes))
 		if wait > 0 {
 			o.recvWait.Observe(int64(wait))
 		}

@@ -83,7 +83,8 @@ func TestTimeoutErrorReachesSpansTCP(t *testing.T) {
 }
 
 // TestSuccessfulTCPTrafficFeedsCounters checks the happy-path counters
-// on the real wire: bytes and messages land in the registry.
+// on the real wire: a matched receive lands in recv_msgs. (Received
+// bytes are counted from pass spans, not by the transport.)
 func TestSuccessfulTCPTrafficFeedsCounters(t *testing.T) {
 	o := obs.New(2, 0)
 	nodes, err := tcpnet.LocalCluster(2, tcpnet.Options{
@@ -107,8 +108,5 @@ func TestSuccessfulTCPTrafficFeedsCounters(t *testing.T) {
 	reg := o.Registry()
 	if got := reg.Counter("recv_msgs").Value(); got != 1 {
 		t.Fatalf("recv_msgs = %d, want 1", got)
-	}
-	if got := reg.Counter("recv_bytes").Value(); got != int64(p.WireSize()) {
-		t.Fatalf("recv_bytes = %d, want %d", got, p.WireSize())
 	}
 }

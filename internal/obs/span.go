@@ -23,8 +23,10 @@ type Span struct {
 	// Start and End are nanoseconds since the Observatory epoch.
 	Start, End int64
 	// BytesOut and BytesIn are the wire volumes the span sent and
-	// consumed (self-sends included, the Figure 5 convention).
-	BytesOut, BytesIn int64
+	// consumed (self-sends included, the Figure 5 convention); RawOut is
+	// what the sent payloads would have cost uncompressed (RawWireSize).
+	// They are the only byte source of the Observatory's counters.
+	BytesOut, BytesIn, RawOut int64
 	// Peers is the communication group size of the span's layer.
 	Peers int
 	// Err is non-nil when the pass failed; a timed-out receive closes
@@ -53,8 +55,8 @@ type Tracer struct {
 	total int64 // spans recorded ever; total - len(ring) overwritten
 }
 
-// Begin opens a span. The caller fills BytesIn/BytesOut/Peers/Err and
-// hands the span back to End.
+// Begin opens a span. The caller fills Peers/Err, sizes its traffic
+// through Sent and Received, and hands the span back to End.
 //
 //kylix:hotpath
 func (t *Tracer) Begin(kind comm.Kind, layer int) Span {
@@ -111,31 +113,26 @@ func (t *Tracer) CountCombineShards(shards int) {
 	}
 }
 
-// Enabled reports whether spans are actually recorded. Hot paths whose
-// instrumentation itself has a cost beyond filling a Span — the config
-// pass would run the index codec just to know its wire sizes — gate
-// that work on Enabled rather than paying it for a discarded span.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// CountConfigBytes accounts one configuration payload: its compressed
-// wire size and what the raw 8-byte-per-key format would have cost.
-func (t *Tracer) CountConfigBytes(rawBytes, encBytes int64) {
+// Sent charges one sent payload to sp: its wire size to BytesOut and
+// its uncompressed size to RawOut. A no-op on a nil Tracer, so untraced
+// passes never size payloads — the config pass would otherwise run the
+// index codec just to learn its wire sizes.
+//
+//kylix:hotpath
+func (t *Tracer) Sent(sp *Span, p comm.Payload) {
 	if t != nil {
-		t.o.configBytesRaw.Add(rawBytes)
-		t.o.configBytesEnc.Add(encBytes)
+		sp.BytesOut += int64(p.WireSize())
+		sp.RawOut += int64(comm.RawWireSize(p))
 	}
 }
 
-// CountValueBytes accounts one reduce/gather value block: its actual
-// wire size and what the raw 4-byte-per-float32 encoding would have
-// cost. With quantization off the two are equal, so the encoded/raw
-// ratio reads directly as the value codec's wire compression.
+// Received charges one accepted receipt's wire size to sp.BytesIn (a
+// no-op on a nil Tracer).
 //
 //kylix:hotpath
-func (t *Tracer) CountValueBytes(rawBytes, encBytes int64) {
+func (t *Tracer) Received(sp *Span, p comm.Payload) {
 	if t != nil {
-		t.o.valuesBytesRaw.Add(rawBytes)
-		t.o.valuesBytesEnc.Add(encBytes)
+		sp.BytesIn += int64(p.WireSize())
 	}
 }
 
@@ -179,8 +176,23 @@ func (t *Tracer) record(sp Span) {
 	t.next = (t.next + 1) % len(t.ring)
 	t.total++
 	t.mu.Unlock()
-	if sp.Event == "" && sp.BytesOut > 0 {
-		t.o.layerCounter(sp.Kind, sp.Layer).Add(sp.BytesOut)
+	if sp.Event != "" {
+		return
+	}
+	o := t.o
+	if sp.BytesOut > 0 {
+		o.layerCounter(sp.Kind, sp.Layer).Add(sp.BytesOut)
+		switch sp.Kind {
+		case comm.KindConfig, comm.KindConfigReduce:
+			o.configBytesEnc.Add(sp.BytesOut)
+			o.configBytesRaw.Add(sp.RawOut)
+		case comm.KindReduce, comm.KindGather:
+			o.valuesBytesEnc.Add(sp.BytesOut)
+			o.valuesBytesRaw.Add(sp.RawOut)
+		}
+	}
+	if sp.BytesIn > 0 {
+		o.recvBytes.Add(sp.BytesIn)
 	}
 }
 

@@ -92,18 +92,13 @@ func NewCollector(m int) *Collector {
 	return c
 }
 
-// Record implements comm.Recorder. Samples with an out-of-range sender
-// or receiver are rejected entirely — counted by InvalidRecords rather
-// than folded into network totals with missing attribution, which
-// would silently skew MaxNode* (a bogus rank is a caller bug, not
+// Record implements comm.Recorder: one message of bytes on the wire
+// and rawBytes in the uncompressed format. Samples with an out-of-range
+// sender or receiver are rejected entirely — counted by InvalidRecords
+// rather than folded into network totals with missing attribution,
+// which would silently skew MaxNode* (a bogus rank is a caller bug, not
 // traffic).
-func (c *Collector) Record(from, to int, tag comm.Tag, bytes int) {
-	c.RecordRaw(from, to, tag, bytes, bytes)
-}
-
-// RecordRaw implements comm.RawRecorder: like Record, with the
-// payload's uncompressed size accounted alongside its wire size.
-func (c *Collector) RecordRaw(from, to int, tag comm.Tag, bytes, rawBytes int) {
+func (c *Collector) Record(from, to int, tag comm.Tag, bytes, rawBytes int) {
 	if from < 0 || from >= c.m || to < 0 || to >= c.m {
 		c.invalid.Add(1)
 		return

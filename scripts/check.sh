@@ -6,11 +6,13 @@
 #   scripts/check.sh            # every lane, in order
 #   scripts/check.sh vet race   # just those lanes
 #
-# Lanes: vet (standard plus the kylix-vet invariant analyzers), build,
-# test, race (the concurrency-critical packages, the stream lifecycle
-# and the reconfigure chaos soak under the race detector), soak (the elastic-membership and
-# multi-tenant stream chaos soaks on both transports) and benchgate
-# (the warm-Reduce allocation gate). GO selects the go command.
+# Lanes: vet (standard plus the kylix-vet invariant analyzers), build
+# (the root module and the perfbench module), test, race (the
+# concurrency-critical packages, the stream lifecycle and the
+# reconfigure chaos soak under the race detector), soak (the
+# elastic-membership and multi-tenant stream chaos soaks on both
+# transports) and benchgate (the warm-Reduce allocation gate). GO
+# selects the go command.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,6 +31,15 @@ lane_vet() {
 lane_build() {
 	echo "== go build ./..."
 	$GO build ./...
+
+	# perfbench is a module of its own, compiled against internal
+	# packages: build, vet and test it so an internal API change cannot
+	# break the benchmark with every other lane green. (-o /dev/null:
+	# its one main package would otherwise leave a binary in the tree.)
+	echo "== perfbench: go build, vet, test"
+	$GO -C perfbench build -o /dev/null ./...
+	$GO -C perfbench vet ./...
+	$GO -C perfbench test ./...
 }
 
 lane_test() {
@@ -37,8 +48,8 @@ lane_test() {
 }
 
 lane_race() {
-	echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, trace, obs, membership, par, stream)"
-	$GO test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/trace/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
+	echo "== go test -race -short (comm, core, faultnet, memnet, tcpnet, replica, trace, netsim, obs, membership, par, stream)"
+	$GO test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/memnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/trace/... ./internal/netsim/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
 
 	echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; incremental reconfiguration under chaos)"
 	$GO test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestReconfigureChaosSoak' -count=1 -timeout 600s .

@@ -115,21 +115,18 @@ func phaseOf(kind comm.Kind) Phase {
 }
 
 func buildTrafficReport(col *trace.Collector, model netsim.Model, threads int) *TrafficReport {
-	rep := netsim.Estimate(col, model, threads)
+	// One snapshot feeds both the rows and the model, so a cell that
+	// first appears mid-report cannot shift the index join between them.
+	layers := col.Layers()
+	rep := netsim.Estimate(col.Machines(), layers, model, threads)
 	out := &TrafficReport{ConfigSec: rep.ConfigSec, ReduceSec: rep.ReduceSec}
-	// Join the raw layer volumes with the modelled times (both are
-	// sorted by kind then layer).
-	raw := col.Layers()
-	for i, lt := range raw {
-		row := LayerTraffic{
+	for i, lt := range layers {
+		out.Layers = append(out.Layers, LayerTraffic{
 			Phase: phaseOf(lt.Kind), Layer: lt.Layer,
 			Msgs: lt.Msgs, Bytes: lt.Bytes, WireBytes: lt.Bytes - lt.SelfBytes, RawBytes: lt.RawBytes,
 			MaxNodeRecvBytes: lt.MaxNodeRecvBytes,
-		}
-		if i < len(rep.Layers) {
-			row.ModelSec = rep.Layers[i].Seconds
-		}
-		out.Layers = append(out.Layers, row)
+			ModelSec:         rep.Layers[i].Seconds,
+		})
 	}
 	return out
 }
